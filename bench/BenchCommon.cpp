@@ -23,6 +23,8 @@ RunRow rmt::bench::runInstance(const std::string &Name,
   Opts.Bound = 1; // drivers are loop-free by construction
   Opts.UseInvariants = Config.UseInvariants;
   Opts.Engine.Strategy.Kind = Config.Kind;
+  // Figure benches measure Fig. 8 as the paper states it.
+  Opts.Engine.Pvc = PvcMode::Paper;
   Opts.Engine.TimeoutSeconds = TimeoutSeconds;
 
   VerifierRunResult R = verifyProgram(Ctx, Prog, Ctx.sym("main"), Opts);

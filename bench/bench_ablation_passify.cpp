@@ -4,10 +4,10 @@
 //
 // DESIGN.md ablation: the paper's Gen_pVC (Fig. 8) mints two constants per
 // (label, variable) and frame equalities per statement; production VC
-// generators (Boogie) passify first. This bench runs DI with both pVC modes
-// over the corpus and reports constants minted, clauses, and solve time —
-// quantifying how much of the observed running time is the literal
-// formulation rather than DAG inlining itself.
+// generators (Boogie, and this verifier by default) passify first. This
+// bench runs DI with both pVC modes over the corpus and reports constants
+// minted, clauses, and solve time — quantifying how much of the observed
+// running time is the literal formulation rather than DAG inlining itself.
 //
 //===--------------------------------------------------------------------===//
 

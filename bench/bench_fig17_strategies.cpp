@@ -43,7 +43,7 @@ std::unique_ptr<Prepared> prepare(const SdvParams &Params) {
 size_t inlinedSize(Prepared &P, MergeStrategyKind Kind, uint64_t Seed,
                    size_t Cap) {
   TermArena Arena;
-  VcContext Vc(P.Ctx, P.Cfg, Arena);
+  VcContext Vc(P.Ctx, P.Cfg, Arena, PvcMode::Paper);
   DisjointAnalysis Disj(P.Cfg);
   ConsistencyChecker Check(Vc, Disj);
   StrategyOptions Opts;

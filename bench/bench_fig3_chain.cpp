@@ -36,6 +36,7 @@ Cell runChain(unsigned N, bool Eager, MergeStrategyKind Kind,
   Opts.Bound = 1;
   Opts.Engine.Eager = Eager;
   Opts.Engine.Strategy.Kind = Kind;
+  Opts.Engine.Pvc = PvcMode::Paper; // Fig. 3 as the paper measures it
   Opts.Engine.TimeoutSeconds = Timeout;
   auto R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
   Cell C;

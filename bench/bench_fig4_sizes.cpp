@@ -32,6 +32,7 @@ size_t fullyInlinedSize(const SdvParams &Params, MergeStrategyKind Kind,
   Opts.Engine.Eager = true;
   Opts.Engine.SkipSolve = true;
   Opts.Engine.Strategy.Kind = Kind;
+  Opts.Engine.Pvc = PvcMode::Paper; // Fig. 4 as the paper measures it
   Opts.Engine.MaxInlined = MaxInlined;
   auto R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
   return R.Result.NumInlined;

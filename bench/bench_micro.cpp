@@ -16,6 +16,7 @@
 #include "ast/Eval.h"
 #include "cfg/Lower.h"
 #include "core/Consistency.h"
+#include "core/Engine.h"
 #include "core/Strategies.h"
 #include "parser/Parser.h"
 #include "transform/Transforms.h"
@@ -80,7 +81,7 @@ void BM_GenPvc(benchmark::State &State) {
   auto P = prepareDriver(4);
   for (auto _ : State) {
     TermArena Arena;
-    VcContext Vc(P->Ctx, P->Cfg, Arena);
+    VcContext Vc(P->Ctx, P->Cfg, Arena, EngineOptions().Pvc);
     benchmark::DoNotOptimize(Vc.genPvc(P->Root));
   }
 }
@@ -90,7 +91,7 @@ void BM_FullDagInline(benchmark::State &State) {
   auto P = prepareDriver(static_cast<unsigned>(State.range(0)));
   for (auto _ : State) {
     TermArena Arena;
-    VcContext Vc(P->Ctx, P->Cfg, Arena);
+    VcContext Vc(P->Ctx, P->Cfg, Arena, EngineOptions().Pvc);
     DisjointAnalysis Disj(P->Cfg);
     ConsistencyChecker Check(Vc, Disj);
     StrategyOptions Opts;
@@ -121,7 +122,7 @@ BENCHMARK(BM_FullDagInline)->Arg(3)->Arg(5);
 void BM_ConsistencyFullCheck(benchmark::State &State) {
   auto P = prepareDriver(5);
   TermArena Arena;
-  VcContext Vc(P->Ctx, P->Cfg, Arena);
+  VcContext Vc(P->Ctx, P->Cfg, Arena, EngineOptions().Pvc);
   DisjointAnalysis Disj(P->Cfg);
   ConsistencyChecker Check(Vc, Disj);
   StrategyOptions Opts;

@@ -44,10 +44,10 @@ struct VcSize {
   size_t Inlined = 0;
 };
 
-/// Fully inlines the instance (structure-only, DI/First strategy) and
-/// reports the hash-consed term count — the static formula footprint the
-/// solver would be handed if every open edge were expanded. \p Passes is the
-/// prepass pipeline spec; null runs no prepass.
+/// Fully inlines the instance (structure-only, DI/First strategy, the
+/// production pVC mode) and reports the hash-consed term count — the static
+/// formula footprint the solver would be handed if every open edge were
+/// expanded. \p Passes is the prepass pipeline spec; null runs no prepass.
 VcSize inlinedVcSize(const SdvParams &Params, const char *Passes) {
   AstContext Ctx;
   Program Prog = makeSdvProgram(Ctx, Params);
@@ -61,7 +61,7 @@ VcSize inlinedVcSize(const SdvParams &Params, const char *Passes) {
   }
 
   TermArena Arena;
-  VcContext Vc(Ctx, Cfg, Arena);
+  VcContext Vc(Ctx, Cfg, Arena, EngineOptions().Pvc);
   DisjointAnalysis Disj(Cfg);
   ConsistencyChecker Check(Vc, Disj);
   StrategyOptions SOpts;
@@ -181,13 +181,15 @@ int main() {
   }
 
   std::printf("%s\n", T.str().c_str());
+  // Signed change: a pass can also grow the VC.
   auto Pct = [](size_t From, size_t To) {
-    return From ? 100.0 * static_cast<double>(From - To) /
+    return From ? 100.0 *
+                      (static_cast<double>(To) - static_cast<double>(From)) /
                       static_cast<double>(From)
                 : 0.0;
   };
-  std::printf("totals: labels %zu -> %zu (-%.1f%%), VC terms off %zu -> "
-              "base %zu (-%.1f%%) -> full %zu (-%.1f%% vs base), verify "
+  std::printf("totals: labels %zu -> %zu (%+.1f%%), VC terms off %zu -> "
+              "base %zu (%+.1f%%) -> full %zu (%+.1f%% vs base), verify "
               "time %.1fs -> %.1fs\n",
               LabelsOff, LabelsFull, Pct(LabelsOff, LabelsFull), TermsOff,
               TermsBase, Pct(TermsOff, TermsBase), TermsFull,

@@ -5,7 +5,7 @@
 // A small Corral-like command-line tool over the library:
 //
 //   hbpl_verify FILE.hbpl [--entry NAME] [--bound N] [--strategy S]
-//               [--timeout SECS] [--inv] [--eager] [--passify]
+//               [--timeout SECS] [--inv] [--eager] [--paper-pvc]
 //               [--no-prepass] [--passes LIST] [--verify-each]
 //               [--print-after-all] [--list-passes] [--lint]
 //               [--dump-cfg] [--dump-dag] [--trace-out FILE]
@@ -15,6 +15,10 @@
 // maxc, opt. Exit code: 0 safe, 1 usage/parse error, 2 lint errors, 10 bug,
 // 20 timeout or resource-out, 30 unknown (including an aborted prepass
 // pipeline under --verify-each).
+//
+// pVCs are passified by default; --paper-pvc generates them with the paper's
+// literal Fig. 8 Gen_pVC instead (the oracle the passified mode is tested
+// against).
 //
 // Observability: --trace-out writes a Chrome trace_event JSON timeline
 // (chrome://tracing / Perfetto) of the whole run; --stats-json writes a
@@ -79,10 +83,11 @@ int usage() {
   std::fprintf(stderr,
                "usage: hbpl_verify FILE.hbpl [--entry NAME] [--bound N] "
                "[--strategy none|first|random|randompick|maxc|opt] "
-               "[--timeout SECS] [--inv] [--eager] [--no-prepass] "
-               "[--passes LIST] [--verify-each] [--print-after-all] "
-               "[--list-passes] [--lint] [--dump-cfg] [--trace-out FILE] "
-               "[--stats-json FILE] [--stats]\n");
+               "[--timeout SECS] [--inv] [--eager] [--paper-pvc] "
+               "[--no-prepass] [--passes LIST] [--verify-each] "
+               "[--print-after-all] [--list-passes] [--lint] [--dump-cfg] "
+               "[--dump-dag] [--trace-out FILE] [--stats-json FILE] "
+               "[--stats]\n");
   return 1;
 }
 
@@ -135,8 +140,8 @@ int main(int argc, char **argv) {
       Opts.UseInvariants = true;
     } else if (Arg == "--eager") {
       Opts.Engine.Eager = true;
-    } else if (Arg == "--passify") {
-      Opts.Engine.Pvc = PvcMode::Passified;
+    } else if (Arg == "--paper-pvc") {
+      Opts.Engine.Pvc = PvcMode::Paper;
     } else if (Arg == "--no-prepass") {
       Opts.UsePrepass = false;
     } else if (Arg == "--passes") {
@@ -239,7 +244,7 @@ int main(int argc, char **argv) {
     CfgProgram Cfg = lowerToCfg(Ctx, Inst.Prog);
     ProcId Root = Cfg.findProc(Ctx.sym(EntryName));
     TermArena Arena;
-    VcContext Vc(Ctx, Cfg, Arena);
+    VcContext Vc(Ctx, Cfg, Arena, Opts.Engine.Pvc);
     DisjointAnalysis Disj(Cfg);
     ConsistencyChecker Check(Vc, Disj);
     std::unique_ptr<MergeStrategy> Strategy =
@@ -308,6 +313,8 @@ int main(int argc, char **argv) {
                  "error: prepass pipeline aborted; refusing to solve\n");
     return 30;
   }
+  if (!R.Result.Diagnostic.empty())
+    std::fprintf(stderr, "error: %s\n", R.Result.Diagnostic.c_str());
 
   std::printf("verdict:   %s\n", verdictName(R.Result.Outcome));
   std::printf("bound:     %u\n", Opts.Bound);

@@ -48,8 +48,8 @@ public:
       : Ctx(Ctx), Prog(Prog), Entry(Entry), ErrGlobal(ErrGlobal), Opts(Opts),
         Budget(Opts.TimeoutSeconds),
         Solver(createZ3Solver(Arena, Opts.Telemetry)),
-        Vc(Ctx, Prog, Arena, [this](TermRef T) { Solver->assertTerm(T); },
-           Opts.Pvc),
+        Vc(Ctx, Prog, Arena, Opts.Pvc,
+           [this](TermRef T) { Solver->assertTerm(T); }),
         Disj(Prog), Checker(Vc, Disj),
         Strategy(createStrategy(Opts.Strategy, Prog, Disj, Entry)) {}
 
@@ -64,27 +64,43 @@ public:
 
     // Line 28: Push(Control[Root]); plus the error-bit query.
     Solver->assertTerm(Vc.node(Root).Control);
-    if (ErrGlobal)
-      Solver->assertTerm(errOutTerm(Root));
-
-    if (Opts.Eager)
-      runEager(Root);
-    else
-      runStratified(Root);
+    if (assertErrorQuery(Root)) {
+      if (Opts.Eager)
+        runEager(Root);
+      else
+        runStratified(Root);
+    }
     RunSpan.note({"verdict", verdictName(Result.Outcome)});
     return finish();
   }
 
 private:
-  /// The Out-interface term of the error-bit global of \p N (a boolean
-  /// constant; asserting it requires the error to be set on exit).
-  TermRef errOutTerm(NodeId N) {
-    assert(ErrGlobal && "no error global configured");
+  /// Asserts the error-bit query on \p Root: the Out-interface term of the
+  /// error global (a boolean constant) must hold on exit. Without an error
+  /// global the query is plain termination reachability. Fails closed when
+  /// the error global is not among the program's globals.
+  bool assertErrorQuery(NodeId Root) {
+    if (!ErrGlobal)
+      return true;
     for (size_t I = 0; I < Prog.Globals.size(); ++I)
-      if (Prog.Globals[I].Name == *ErrGlobal)
-        return Vc.node(N).Out[I];
-    assert(false && "error global not found in program globals");
-    return TermRef();
+      if (Prog.Globals[I].Name == *ErrGlobal) {
+        Solver->assertTerm(Vc.node(Root).Out[I]);
+        return true;
+      }
+    fail("error global '" + Ctx.name(*ErrGlobal) +
+         "' is not a program global");
+    return false;
+  }
+
+  /// Fails closed on a broken engine invariant: the run ends Unknown with
+  /// \p Why as its diagnostic instead of relying on an assert that release
+  /// builds compile out.
+  void fail(std::string Why) {
+    Result.Outcome = Verdict::Unknown;
+    Result.Diagnostic = std::move(Why);
+    if (Trace *T = Opts.Telemetry; T && T->enabled())
+      T->instant("engine.invariant_failure",
+                 {{"diagnostic", Result.Diagnostic}});
   }
 
   VerifyResult finish() {
@@ -195,61 +211,74 @@ private:
                      {{"iteration", Result.NumIterations},
                       {"open_edges", Vc.openEdges().size()},
                       {"inlined", Vc.numInlined()}});
-      if (outOfTime() || overInlineLimit())
-        return;
-
-      // Under-approximate check: block every open call. A model is an
-      // execution entirely within the inlined region — a real bug.
-      std::vector<TermRef> Blocked;
-      for (EdgeId E : Vc.openEdges())
-        Blocked.push_back(Arena.mkNot(Vc.edge(E).Control));
-      switch (timedCheck(Blocked, /*Under=*/true)) {
-      case SolveResult::Sat:
-        Result.Outcome = Verdict::Bug;
-        extractTrace();
-        return;
-      case SolveResult::Unsat:
-        break;
-      case SolveResult::Unknown:
-        Result.Outcome =
-            Budget.expired() ? Verdict::Timeout : Verdict::Unknown;
-        return;
-      }
-
-      // Fully inlined and under-approximation unsat: exact answer.
-      if (Vc.openEdges().empty()) {
-        Result.Outcome = Verdict::Safe;
-        return;
-      }
-
-      // Over-approximate check: open calls stay havoc summaries. Unsat here
-      // proves safety without further inlining (SI's early stop).
-      switch (timedCheck({}, /*Under=*/false)) {
-      case SolveResult::Unsat:
-        Result.Outcome = Verdict::Safe;
-        return;
-      case SolveResult::Unknown:
-        Result.Outcome =
-            Budget.expired() ? Verdict::Timeout : Verdict::Unknown;
-        return;
-      case SolveResult::Sat:
-        break;
-      }
-
-      // Inline the frontier: open edges the abstract counterexample enters.
       std::vector<EdgeId> Frontier;
-      for (EdgeId E : Vc.openEdges())
-        if (Solver->modelBool(Vc.edge(E).Control))
-          Frontier.push_back(E);
-      assert(!Frontier.empty() &&
-             "over-approximate model avoiding all open calls would have "
-             "satisfied the under-approximate check");
+      bool Settled = runChecks(Frontier);
+      Iter.note({"frontier", Frontier.size()});
+      if (Settled)
+        return;
       for (EdgeId E : Frontier) {
         if (outOfTime() || overInlineLimit())
           return;
         resolveEdge(E);
       }
     }
+  }
+
+  /// The checks of one stratified iteration. Returns true once they settle
+  /// Result.Outcome; otherwise fills \p Frontier with the open edges the
+  /// over-approximate model enters (the ones to inline next) and returns
+  /// false.
+  bool runChecks(std::vector<EdgeId> &Frontier) {
+    if (outOfTime() || overInlineLimit())
+      return true;
+
+    // Under-approximate check: block every open call. A model is an
+    // execution entirely within the inlined region — a real bug.
+    std::vector<TermRef> Blocked;
+    for (EdgeId E : Vc.openEdges())
+      Blocked.push_back(Arena.mkNot(Vc.edge(E).Control));
+    switch (timedCheck(Blocked, /*Under=*/true)) {
+    case SolveResult::Sat:
+      Result.Outcome = Verdict::Bug;
+      extractTrace();
+      return true;
+    case SolveResult::Unsat:
+      break;
+    case SolveResult::Unknown:
+      Result.Outcome = Budget.expired() ? Verdict::Timeout : Verdict::Unknown;
+      return true;
+    }
+
+    // Fully inlined and under-approximation unsat: exact answer.
+    if (Vc.openEdges().empty()) {
+      Result.Outcome = Verdict::Safe;
+      return true;
+    }
+
+    // Over-approximate check: open calls stay havoc summaries. Unsat here
+    // proves safety without further inlining (SI's early stop).
+    switch (timedCheck({}, /*Under=*/false)) {
+    case SolveResult::Unsat:
+      Result.Outcome = Verdict::Safe;
+      return true;
+    case SolveResult::Unknown:
+      Result.Outcome = Budget.expired() ? Verdict::Timeout : Verdict::Unknown;
+      return true;
+    case SolveResult::Sat:
+      break;
+    }
+
+    // The frontier: open edges the abstract counterexample enters.
+    for (EdgeId E : Vc.openEdges())
+      if (Solver->modelBool(Vc.edge(E).Control))
+        Frontier.push_back(E);
+    // A model avoiding every open call would have satisfied the
+    // under-approximate check; re-checking the same VC cannot progress.
+    if (Frontier.empty()) {
+      fail("over-approximate model enters no open call");
+      return true;
+    }
+    return false;
   }
 
   /// Per-check solver timeout from the remaining wall budget.

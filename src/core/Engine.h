@@ -69,7 +69,10 @@ struct VerifyResult {
   double Seconds = 0;
   /// Gen_pVC invocations — the paper's "#Inlined".
   size_t NumInlined = 0;
-  /// Open-edge bindings that reused an existing node.
+  /// Open-edge bindings that reused an existing node. Every frontier edge
+  /// (the `frontier` argument of an `engine.iteration` span) is inlined or
+  /// merged, so unless a timeout or the inline limit cuts the run short the
+  /// frontiers sum to NumInlined - 1 (the root) + NumMerged.
   size_t NumMerged = 0;
   size_t NumSolverChecks = 0;
   /// NumSolverChecks split by check kind: under-approximate (all open edges
@@ -84,11 +87,14 @@ struct VerifyResult {
   /// FIRST).
   double MergeLookupSeconds = 0;
   uint64_t NumDisjQueries = 0;
+  /// Why the run ended Unknown on a broken engine invariant (empty
+  /// otherwise).
+  std::string Diagnostic;
   /// On Bug: an error trace (pre-order over the inlining structure).
   std::vector<TraceStep> Trace;
 
-  /// Records everything above (minus the trace) into \p S under "engine.*"
-  /// keys, for --stats/--stats-json style reporting.
+  /// Records everything above (minus the trace and diagnostic) into \p S
+  /// under "engine.*" keys, for --stats/--stats-json style reporting.
   void record(Stats &S) const;
 };
 
@@ -96,9 +102,9 @@ struct VerifyResult {
 struct EngineOptions {
   /// Merging strategy. None = tree inlining (plain SI / eager tree).
   StrategyOptions Strategy;
-  /// pVC generation mode: the paper's literal Gen_pVC or the passified
-  /// variant (ablation; see PvcMode).
-  PvcMode Pvc = PvcMode::Paper;
+  /// pVC generation mode: the passified generator in production, or the
+  /// paper's literal Gen_pVC as the oracle (see PvcMode).
+  PvcMode Pvc = PvcMode::Passified;
   /// Wall-clock budget; <= 0 disables.
   double TimeoutSeconds = 0;
   /// Eager mode: fully inline before the single solver call.

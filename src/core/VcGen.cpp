@@ -9,8 +9,8 @@
 using namespace rmt;
 
 VcContext::VcContext(const AstContext &Ctx, const CfgProgram &Prog,
-                     TermArena &Arena, std::function<void(TermRef)> Sink,
-                     PvcMode Mode)
+                     TermArena &Arena, PvcMode Mode,
+                     std::function<void(TermRef)> Sink)
     : Ctx(Ctx), Prog(Prog), Arena(Arena), Sink(std::move(Sink)), Mode(Mode) {}
 
 void VcContext::push(TermRef Clause) {

@@ -82,23 +82,25 @@ struct VcEdge {
 /// How procedural VCs are generated.
 enum class PvcMode {
   /// The paper's Fig. 8 Gen_pVC, literally: fresh VS[y]/VS'[y] constants
-  /// for every label and variable, frame equalities per statement.
+  /// for every label and variable, frame equalities per statement. Kept as
+  /// the oracle the agreement tests and the figure benches run against.
   Paper,
   /// Boogie-style passification: values flow through terms; fresh
   /// constants only at procedure entry, join labels, havocs and call
   /// outputs. Same models, far fewer constants — the engineering the paper
-  /// alludes to with "inlining at the VC level".
+  /// alludes to with "inlining at the VC level". The production mode
+  /// (EngineOptions::Pvc defaults to it).
   Passified,
 };
 
 /// Fig. 8's global state plus the pVC generator.
 class VcContext {
 public:
-  /// \p Sink receives every pushed clause (may be empty). \p Ctx provides
-  /// the canonical types (for the boolean control constants).
+  /// \p Mode picks the pVC generator; there is no default, so every caller
+  /// states it. \p Sink receives every pushed clause (may be empty). \p Ctx
+  /// provides the canonical types (for the boolean control constants).
   VcContext(const AstContext &Ctx, const CfgProgram &Prog, TermArena &Arena,
-            std::function<void(TermRef)> Sink = {},
-            PvcMode Mode = PvcMode::Paper);
+            PvcMode Mode, std::function<void(TermRef)> Sink = {});
 
   /// Gen_pVC(q): creates a fresh node with fresh constants and pushes its
   /// procedural VC. New out-edges start open.

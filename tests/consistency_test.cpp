@@ -42,7 +42,7 @@ const char *SequentialSrc = R"(
 TEST(Consistency, MergingDisjointBranchesAllowed) {
   Fixture F(DiamondSrc);
   TermArena Arena;
-  VcContext Vc(F.Ctx, F.Cfg, Arena);
+  VcContext Vc(F.Ctx, F.Cfg, Arena, PvcMode::Paper);
   DisjointAnalysis Disj(F.Cfg);
   ConsistencyChecker Check(Vc, Disj);
 
@@ -82,7 +82,7 @@ TEST(Consistency, MergingDisjointBranchesAllowed) {
 TEST(Consistency, MergingSequentialCallsRejected) {
   Fixture F(SequentialSrc);
   TermArena Arena;
-  VcContext Vc(F.Ctx, F.Cfg, Arena);
+  VcContext Vc(F.Ctx, F.Cfg, Arena, PvcMode::Paper);
   DisjointAnalysis Disj(F.Cfg);
   ConsistencyChecker Check(Vc, Disj);
 
@@ -111,7 +111,7 @@ TEST(Consistency, TransitiveConflictThroughSharedChild) {
     procedure main() { call f(); call f(); }
   )");
   TermArena Arena;
-  VcContext Vc(F.Ctx, F.Cfg, Arena);
+  VcContext Vc(F.Ctx, F.Cfg, Arena, PvcMode::Paper);
   DisjointAnalysis Disj(F.Cfg);
   ConsistencyChecker Check(Vc, Disj);
 
@@ -153,7 +153,7 @@ TEST(Consistency, ParallelEdgesSameTargetNeedDisjointSites) {
     procedure main() { if (*) { call branchy(); } else { call seq(); } }
   )");
   TermArena Arena;
-  VcContext Vc(F.Ctx, F.Cfg, Arena);
+  VcContext Vc(F.Ctx, F.Cfg, Arena, PvcMode::Paper);
   DisjointAnalysis Disj(F.Cfg);
   ConsistencyChecker Check(Vc, Disj);
 
@@ -264,7 +264,7 @@ TEST_P(ConsistencyProperty, IncrementalMatchesDefinition2) {
   ASSERT_TRUE(Cfg.isHierarchical());
 
   TermArena Arena;
-  VcContext Vc(Ctx, Cfg, Arena);
+  VcContext Vc(Ctx, Cfg, Arena, PvcMode::Paper);
   DisjointAnalysis Disj(Cfg);
   ConsistencyChecker Check(Vc, Disj);
   Rng Gen(GetParam() * 7919 + 1);
@@ -301,7 +301,7 @@ TEST_P(ConsistencyProperty, IncrementalMatchesDefinition2) {
       // Ground truth: replay the construction into a scratch context,
       // force the merge, and evaluate Definition 2 literally.
       TermArena ScratchArena;
-      VcContext Scratch(Ctx, Cfg, ScratchArena);
+      VcContext Scratch(Ctx, Cfg, ScratchArena, PvcMode::Paper);
       replay(Scratch, Log);
       Scratch.bindEdge(E, Pick);
       bool GroundTruth = def2Consistent(Scratch, Disj);
@@ -337,7 +337,7 @@ TEST(Consistency, RejectionIsJustifiedOnSequentialProgram) {
 
   // Build once, merge by force, and confirm Def. 2 breaks.
   TermArena Arena;
-  VcContext Vc(F.Ctx, F.Cfg, Arena);
+  VcContext Vc(F.Ctx, F.Cfg, Arena, PvcMode::Paper);
   NodeId Root = Vc.genPvc(F.Cfg.findProc(F.Ctx.sym("main")));
   (void)Root;
   EdgeId E1 = Vc.openEdges()[0];

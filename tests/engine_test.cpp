@@ -383,3 +383,26 @@ TEST(Engine, PlainReachabilityWithoutErrorBit) {
                               std::nullopt, Opts);
   EXPECT_EQ(R2.Outcome, Verdict::Bug);
 }
+
+TEST(Engine, MissingErrorGlobalFailsClosed) {
+  // Only the C++ API can name an error global the program does not declare.
+  // Release builds compile asserts out, so the engine must answer Unknown
+  // with a diagnostic rather than assert a null term.
+  AstContext Ctx;
+  DiagEngine Diags;
+  auto P = parseAndCheck(R"(
+    var g: int;
+    procedure main() { g := 1; }
+  )",
+                         Ctx, Diags);
+  ASSERT_TRUE(P) << Diags.str();
+  CfgProgram Cfg = lowerToCfg(Ctx, *P);
+  EngineOptions Opts;
+  Opts.TimeoutSeconds = 30;
+  auto R = solveReachability(Ctx, Cfg, Cfg.findProc(Ctx.sym("main")),
+                             Ctx.sym("no_such_err"), Opts);
+  EXPECT_EQ(R.Outcome, Verdict::Unknown);
+  EXPECT_NE(R.Diagnostic.find("no_such_err"), std::string::npos)
+      << R.Diagnostic;
+  EXPECT_EQ(R.NumSolverChecks, 0u);
+}

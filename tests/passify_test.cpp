@@ -1,4 +1,11 @@
-//===- passify_test.cpp - Passified pVC mode (ablation) ---------------------===//
+//===- passify_test.cpp - Passified pVC mode vs the paper's oracle --------===//
+//
+// The passified generator is the production default; the paper's literal
+// Fig. 8 Gen_pVC (PvcMode::Paper) is the oracle it must agree with on every
+// verdict: random programs and small SDV-like drivers here; the sample
+// corpus runs under both modes in programs_test.
+//
+//===----------------------------------------------------------------------===//
 
 #include "cfg/Lower.h"
 #include "core/Verifier.h"
@@ -6,6 +13,7 @@
 #include "smt/Z3Solver.h"
 #include "workload/Chain.h"
 #include "workload/RandomProg.h"
+#include "workload/SdvGen.h"
 
 #include <gtest/gtest.h>
 
@@ -35,13 +43,42 @@ const char *StraightLine = R"(
   }
 )";
 
+/// Verifies the program \p Make builds with the paper's Gen_pVC (the
+/// oracle) and with the default pVC mode under DI/FIRST, and expects the
+/// same definite verdict from both.
+template <typename MakeFn>
+void expectDefaultAgreesWithPaper(MakeFn Make, unsigned Bound,
+                                  const std::string &What) {
+  std::optional<Verdict> Oracle;
+  for (PvcMode Mode : {PvcMode::Paper, EngineOptions().Pvc}) {
+    AstContext Ctx;
+    Program P = Make(Ctx);
+    VerifierOptions Opts;
+    Opts.Bound = Bound;
+    Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
+    Opts.Engine.Pvc = Mode;
+    Opts.Engine.TimeoutSeconds = 60;
+    auto R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+    ASSERT_TRUE(R.Result.Outcome == Verdict::Bug ||
+                R.Result.Outcome == Verdict::Safe)
+        << What << ": " << verdictName(R.Result.Outcome);
+    if (!Oracle)
+      Oracle = R.Result.Outcome;
+    EXPECT_EQ(R.Result.Outcome, *Oracle) << What;
+  }
+}
+
 } // namespace
+
+TEST(Passify, PassifiedIsTheDefault) {
+  EXPECT_EQ(EngineOptions{}.Pvc, PvcMode::Passified);
+}
 
 TEST(Passify, StraightLineMintsFarFewerConstants) {
   Fixture F(StraightLine);
   TermArena PaperArena, PassArena;
-  VcContext Paper(F.Ctx, F.Cfg, PaperArena, {}, PvcMode::Paper);
-  VcContext Pass(F.Ctx, F.Cfg, PassArena, {}, PvcMode::Passified);
+  VcContext Paper(F.Ctx, F.Cfg, PaperArena, PvcMode::Paper);
+  VcContext Pass(F.Ctx, F.Cfg, PassArena, PvcMode::Passified);
   Paper.genPvc(0);
   Pass.genPvc(0);
   // Paper mode: 2 consts per (label, var) plus BS and Out.
@@ -54,8 +91,8 @@ TEST(Passify, SameModelsOnStraightLine) {
     Fixture F(StraightLine);
     TermArena Arena;
     auto S = createZ3Solver(Arena);
-    VcContext Vc(F.Ctx, F.Cfg, Arena, [&](TermRef T) { S->assertTerm(T); },
-                 Mode);
+    VcContext Vc(F.Ctx, F.Cfg, Arena, Mode,
+                 [&](TermRef T) { S->assertTerm(T); });
     NodeId Root = Vc.genPvc(0);
     S->assertTerm(Vc.node(Root).Control);
     // (1 + 2) * 3 == 9 is forced.
@@ -76,8 +113,8 @@ TEST(Passify, JoinsIntroduceIncarnations) {
   )");
   TermArena Arena;
   auto S = createZ3Solver(Arena);
-  VcContext Vc(F.Ctx, F.Cfg, Arena, [&](TermRef T) { S->assertTerm(T); },
-               PvcMode::Passified);
+  VcContext Vc(F.Ctx, F.Cfg, Arena, PvcMode::Passified,
+               [&](TermRef T) { S->assertTerm(T); });
   NodeId Root = Vc.genPvc(0);
   S->assertTerm(Vc.node(Root).Control);
   TermRef G = Vc.node(Root).Out[0];
@@ -137,24 +174,31 @@ TEST_P(PassifyAgreement, ModesAgreeOnRandomPrograms) {
   Params.MaxStmts = 4;
   Params.AllowLoops = GetParam() % 2 == 0;
   Params.AllowArrays = GetParam() % 3 == 0;
-
-  std::optional<Verdict> Reference;
-  for (PvcMode Mode : {PvcMode::Paper, PvcMode::Passified}) {
-    AstContext Ctx;
-    Program P = makeRandomProgram(Ctx, Params);
-    VerifierOptions Opts;
-    Opts.Bound = 3;
-    Opts.Engine.Strategy.Kind = MergeStrategyKind::First;
-    Opts.Engine.Pvc = Mode;
-    Opts.Engine.TimeoutSeconds = 60;
-    auto R = verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
-    ASSERT_TRUE(R.Result.Outcome == Verdict::Bug ||
-                R.Result.Outcome == Verdict::Safe);
-    if (!Reference)
-      Reference = R.Result.Outcome;
-    EXPECT_EQ(R.Result.Outcome, *Reference) << "seed " << GetParam();
-  }
+  expectDefaultAgreesWithPaper(
+      [&](AstContext &Ctx) { return makeRandomProgram(Ctx, Params); },
+      3, "seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PassifyAgreement,
                          ::testing::Range<uint64_t>(1, 21));
+
+/// Small SDV-like drivers at bound 1, each safe and buggy: the shapes the
+/// corpus generator draws smallest, which decide in about a second.
+class PassifyAgreementSdv : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(PassifyAgreementSdv, ModesAgreeOnDrivers) {
+  unsigned K = GetParam() / 2;
+  SdvParams Params;
+  Params.Seed = 1000 + K;
+  Params.NumHandlers = 3 + K % 2;
+  Params.NumUtils = 3 + K / 2;
+  Params.UtilDepth = 3;
+  Params.CallsPerHandler = 2;
+  Params.InjectBug = GetParam() % 2 == 1;
+  expectDefaultAgreesWithPaper(
+      [&](AstContext &Ctx) { return makeSdvProgram(Ctx, Params); },
+      1, "driver " + std::to_string(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Drivers, PassifyAgreementSdv,
+                         ::testing::Range<unsigned>(0, 6));

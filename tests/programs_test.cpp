@@ -2,9 +2,9 @@
 //
 // Every `.hbpl` under examples/programs declares its expected verdict in a
 // header comment (`// expect: safe bound=2`). This test parses, round-trips
-// and verifies each file with SI, DI, and DI+passified VCs, and checks the
-// expectation — the sample corpus doubles as an end-to-end regression
-// suite.
+// and verifies each file with SI and DI on the paper's Gen_pVC (the oracle)
+// and with DI on the default (passified) pVCs, and checks the expectation —
+// the sample corpus doubles as an end-to-end regression suite.
 //
 //===----------------------------------------------------------------------===//
 
@@ -98,8 +98,8 @@ TEST_P(SampleProgram, VerdictMatchesExpectation) {
   };
   for (Config C : {Config{"SI", MergeStrategyKind::None, PvcMode::Paper},
                    Config{"DI", MergeStrategyKind::First, PvcMode::Paper},
-                   Config{"DI/passified", MergeStrategyKind::First,
-                          PvcMode::Passified}}) {
+                   Config{"DI/default", MergeStrategyKind::First,
+                          EngineOptions().Pvc}}) {
     AstContext Ctx;
     DiagEngine Diags;
     auto P = parseAndCheck(Source, Ctx, Diags);

@@ -25,8 +25,8 @@ struct Inliner {
 
   Inliner(AstContext &Ctx, CfgProgram &Cfg, const StrategyOptions &Opts,
           ProcId Root)
-      : Ctx(Ctx), Cfg(Cfg), Vc(Ctx, Cfg, Arena), Disj(Cfg), Check(Vc, Disj),
-        Strategy(createStrategy(Opts, Cfg, Disj, Root)) {}
+      : Ctx(Ctx), Cfg(Cfg), Vc(Ctx, Cfg, Arena, PvcMode::Paper), Disj(Cfg),
+        Check(Vc, Disj), Strategy(createStrategy(Opts, Cfg, Disj, Root)) {}
 
   /// Fully inlines from \p Root (the Fig. 17 regime: "keep inlining until
   /// all dynamic instances get inlined"). Returns #nodes.

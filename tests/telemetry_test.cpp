@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -424,6 +425,7 @@ TEST(TraceEndToEnd, VerifyProgramEmitsNestedPipelineSpans) {
   bool SawEngineCheck = false, SawZ3 = false, SawPass = false,
        SawIteration = false, SawVerdict = false;
   int Depth = 0, Z3Depth = -1;
+  size_t Iterations = 0, FrontierSum = 0;
   for (size_t I = 0; I < T.numEvents(); ++I) {
     const TraceEvent &E = T.event(I);
     if (E.Ph == TraceEvent::Phase::Begin) {
@@ -442,6 +444,15 @@ TEST(TraceEndToEnd, VerifyProgramEmitsNestedPipelineSpans) {
     } else if (E.Ph == TraceEvent::Phase::End) {
       ++Ends;
       --Depth;
+      if (E.Name == "engine.iteration") {
+        // Every iteration reports the frontier it inlined (0 on the last).
+        ++Iterations;
+        auto Arg = std::find_if(
+            E.Args.begin(), E.Args.end(),
+            [](const TraceArg &A) { return A.Key == "frontier"; });
+        ASSERT_NE(Arg, E.Args.end());
+        FrontierSum += static_cast<size_t>(Arg->Int);
+      }
     } else if (E.Name == "engine.verdict") {
       SawVerdict = true;
     }
@@ -474,6 +485,11 @@ TEST(TraceEndToEnd, VerifyProgramEmitsNestedPipelineSpans) {
   EXPECT_GE(R.Result.NumUnderChecks, 1u);
   EXPECT_GT(R.Result.SolverSeconds, 0.0);
   EXPECT_EQ(Bag.get("engine.verdict.safe"), 1);
+
+  // Every frontier edge was inlined or merged; the root is the one inline
+  // no frontier asked for.
+  EXPECT_EQ(Iterations, R.Result.NumIterations);
+  EXPECT_EQ(FrontierSum, R.Result.NumInlined - 1 + R.Result.NumMerged);
 }
 
 TEST(TraceEndToEnd, DisabledTraceRecordsNothingOnRealRun) {

@@ -143,7 +143,7 @@ TEST_P(VcScriptRoundTrip, PrintedVcHasSameVerdictUnderZ3Parser) {
 
   // Build the fully tree-inlined VC with the error-bit query.
   TermArena Arena;
-  VcContext Vc(Ctx, Cfg, Arena);
+  VcContext Vc(Ctx, Cfg, Arena, PvcMode::Paper);
   NodeId Root = Vc.genPvc(Entry);
   while (!Vc.openEdges().empty()) {
     EdgeId E = Vc.openEdges().front();

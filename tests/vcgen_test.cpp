@@ -43,7 +43,7 @@ const char *Fig6 = R"(
 
 TEST(GenPvc, NodeShapeForFig6) {
   Fixture F(Fig6);
-  VcContext Vc(F.Ctx, F.Cfg, F.Arena);
+  VcContext Vc(F.Ctx, F.Cfg, F.Arena, PvcMode::Paper);
   ProcId MainId = F.Cfg.findProc(F.Ctx.sym("main"));
   NodeId Root = Vc.genPvc(MainId);
 
@@ -64,7 +64,7 @@ TEST(GenPvc, NodeShapeForFig6) {
 
 TEST(GenPvc, EdgesCarryCallInterfaces) {
   Fixture F(Fig6);
-  VcContext Vc(F.Ctx, F.Cfg, F.Arena);
+  VcContext Vc(F.Ctx, F.Cfg, F.Arena, PvcMode::Paper);
   NodeId Root = Vc.genPvc(F.Cfg.findProc(F.Ctx.sym("main")));
   for (EdgeId E : Vc.node(Root).OutEdges) {
     const VcEdge &Edge = Vc.edge(E);
@@ -82,7 +82,7 @@ TEST(GenVc, Fig9ExecutionMergesFoo) {
   // edge, merge the second edge into the same node.
   Fixture F(Fig6);
   std::vector<TermRef> Pushed;
-  VcContext Vc(F.Ctx, F.Cfg, F.Arena,
+  VcContext Vc(F.Ctx, F.Cfg, F.Arena, PvcMode::Paper,
                [&](TermRef T) { Pushed.push_back(T); });
   NodeId N0 = Vc.genPvc(F.Cfg.findProc(F.Ctx.sym("main")));
   ASSERT_EQ(Vc.openEdges().size(), 2u);
@@ -106,7 +106,7 @@ TEST(GenVc, Fig9ExecutionMergesFoo) {
 
 TEST(GenVc, InstancesTrackedPerProcedure) {
   Fixture F(Fig6);
-  VcContext Vc(F.Ctx, F.Cfg, F.Arena);
+  VcContext Vc(F.Ctx, F.Cfg, F.Arena, PvcMode::Paper);
   ProcId FooId = F.Cfg.findProc(F.Ctx.sym("foo"));
   EXPECT_TRUE(Vc.instancesOf(FooId).empty());
   NodeId A = Vc.genPvc(FooId);
@@ -130,7 +130,8 @@ struct SolvedFig6 {
   explicit SolvedFig6(bool Merge) {
     S = createZ3Solver(F.Arena);
     Vc = std::make_unique<VcContext>(
-        F.Ctx, F.Cfg, F.Arena, [&](TermRef T) { S->assertTerm(T); });
+        F.Ctx, F.Cfg, F.Arena, PvcMode::Paper,
+        [&](TermRef T) { S->assertTerm(T); });
     Root = Vc->genPvc(F.Cfg.findProc(F.Ctx.sym("main")));
     EdgeId E0 = Vc->openEdges()[0];
     EdgeId E1 = Vc->openEdges()[1];
@@ -193,7 +194,8 @@ TEST(GenVc, OpenEdgesAreHavocSummaries) {
   // over-approximated by havoc (this is Proc'(n) of Section 3.2).
   Fixture F(Fig6);
   auto S = createZ3Solver(F.Arena);
-  VcContext Vc(F.Ctx, F.Cfg, F.Arena, [&](TermRef T) { S->assertTerm(T); });
+  VcContext Vc(F.Ctx, F.Cfg, F.Arena, PvcMode::Paper,
+               [&](TermRef T) { S->assertTerm(T); });
   NodeId Root = Vc.genPvc(F.Cfg.findProc(F.Ctx.sym("main")));
   S->assertTerm(Vc.node(Root).Control);
   TermArena &A = F.Arena;
@@ -211,7 +213,7 @@ TEST(GenVc, OpenEdgesAreHavocSummaries) {
 
 TEST(GenVc, SmtLibDumpIsWellFormed) {
   Fixture F(Fig6);
-  VcContext Vc(F.Ctx, F.Cfg, F.Arena);
+  VcContext Vc(F.Ctx, F.Cfg, F.Arena, PvcMode::Paper);
   NodeId Root = Vc.genPvc(F.Cfg.findProc(F.Ctx.sym("main")));
   (void)Root;
   std::string Script = printScript(F.Arena, Vc.allClauses());
@@ -240,7 +242,8 @@ TEST(GenVc, HavocLeavesVariableUnconstrained) {
     }
   )");
   auto S = createZ3Solver(F.Arena);
-  VcContext Vc(F.Ctx, F.Cfg, F.Arena, [&](TermRef T) { S->assertTerm(T); });
+  VcContext Vc(F.Ctx, F.Cfg, F.Arena, PvcMode::Paper,
+               [&](TermRef T) { S->assertTerm(T); });
   NodeId Root = Vc.genPvc(0);
   S->assertTerm(Vc.node(Root).Control);
   TermArena &A = F.Arena;

@@ -78,16 +78,37 @@ TEST(Deepening, SafeUpToMaxBound) {
 }
 
 TEST(Deepening, SharedBudgetTimesOut) {
+  // Safe at every bound, with a solver cost that grows steeply with the
+  // unrolling: bound 1 takes milliseconds, bound 1024 alone takes seconds.
   AstContext Ctx;
-  auto P = parseOk(DeepBugSrc, Ctx);
+  auto P = parseOk(R"(
+    var g: int;
+    procedure main() {
+      var i: int;
+      var n: int;
+      havoc n;
+      i := 0;
+      g := 0;
+      while (i < n) { i := i + 1; g := g + i; }
+      assert g >= 0;
+    }
+  )",
+                   Ctx);
   ASSERT_TRUE(P);
   VerifierOptions Opts;
   Opts.Engine.Strategy.Kind = MergeStrategyKind::None;
-  Opts.Engine.TimeoutSeconds = 0.05;
+  Opts.Engine.TimeoutSeconds = 0.5;
   Stopwatch W;
   DeepeningResult R =
-      verifyIterativeDeepening(Ctx, *P, Ctx.sym("main"), Opts, 64);
+      verifyIterativeDeepening(Ctx, *P, Ctx.sym("main"), Opts, 1024);
   EXPECT_EQ(R.Last.Result.Outcome, Verdict::Timeout);
+  // The budget ran out part-way up the ladder, after at least one bound
+  // had finished under it.
+  EXPECT_GE(R.BoundsTried.size(), 2u);
+  EXPECT_LT(R.BoundsTried.back(), 1024u);
+  // The last bound only had what the earlier ones left of the budget; a
+  // fresh budget per bound would let its engine run the full 0.5 s.
+  EXPECT_LT(R.Last.Result.Seconds, Opts.Engine.TimeoutSeconds);
   EXPECT_LT(W.seconds(), 30.0);
 }
 
@@ -111,7 +132,7 @@ struct DagFixture {
     EXPECT_TRUE(P) << Diags.str();
     BoundedInstance B = prepareBounded(Ctx, *P, Ctx.sym("main"), 1);
     Cfg = lowerToCfg(Ctx, B.Prog);
-    Vc = std::make_unique<VcContext>(Ctx, Cfg, Arena);
+    Vc = std::make_unique<VcContext>(Ctx, Cfg, Arena, PvcMode::Paper);
   }
 
   void inlineAll() {
