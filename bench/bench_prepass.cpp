@@ -5,9 +5,9 @@
 // Three-way ablation of the prepass pipeline on the SDV-like corpus:
 //
 //   off  — no prepass at all;
-//   base — the original reduction pipeline (constprop,slice,splice,deadproc);
+//   base — the structural reductions alone (slice,splice,deadproc);
 //   full — the default pipeline, which adds GVN/copy-propagation and
-//          assume-redundancy elimination (constprop,gvn,assumeelim,...).
+//          assume-redundancy elimination (gvn,assumeelim,slice,...).
 //
 // For each configuration we report the program size the engine sees and the
 // size of the fully inlined VC (hash-consed term count); end-to-end DI verify
@@ -34,8 +34,8 @@ using namespace rmt::bench;
 
 namespace {
 
-/// The reduction pipeline as it stood before the value-numbering passes.
-const char *BaselinePasses = "constprop,slice,splice,deadproc";
+/// The reduction pipeline without the value-numbering passes.
+const char *BaselinePasses = "slice,splice,deadproc";
 
 struct VcSize {
   size_t Labels = 0;

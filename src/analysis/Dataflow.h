@@ -29,10 +29,12 @@
 /// (boundary at exit labels, i.e. labels with no successors) and
 /// pre(L) = transfer(post(L)). Pre/post are always named in *program* order.
 ///
-/// On top of the framework this header exposes the verification prepass:
-/// constant propagation with assume-false branch pruning, cone-of-influence
-/// slicing (see Slicer.h), skip-chain compaction, and dead-procedure
-/// elimination, composed by runPrepass().
+/// Besides the solver, this header holds the pieces every prepass analysis
+/// shares: variable collection, the call-graph effect summaries, and the one
+/// backward liveness analysis (Liveness) that the slicer, the lint-audit pass
+/// and the AST-level lint all instantiate. The verification prepass itself —
+/// GVN, assume elimination, slicing, skip splicing and dead-procedure
+/// elimination, composed by runPrepass() — is declared at the end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,6 +55,7 @@
 
 namespace rmt {
 
+class Relevance;
 class Trace;
 
 //===----------------------------------------------------------------------===//
@@ -115,6 +118,16 @@ public:
     if (!Fwd)
       std::reverse(Work.begin(), Work.end());
     std::vector<char> Queued(N, 1);
+    // A label's first result replaces bottom, the join identity, so it is
+    // moved in rather than joined.
+    std::vector<char> Visited(N, 0);
+    auto Update = [&](Value &Into, Value &&From, unsigned I) {
+      if (Visited[I])
+        return A.join(Into, From);
+      Visited[I] = 1;
+      Into = std::move(From);
+      return true;
+    };
 
     while (!Work.empty()) {
       LabelId L = Work.front();
@@ -128,8 +141,7 @@ public:
         for (LabelId P : Flow.preds(L))
           A.join(In, Post[Flow.indexOf(P)]);
         Pre[I] = std::move(In);
-        Value Out = A.transfer(L, S, Pre[I]);
-        if (A.join(Post[I], Out))
+        if (Update(Post[I], A.transfer(L, S, Pre[I]), I))
           for (LabelId T : Flow.succs(L))
             enqueue(Work, Queued, T);
       } else {
@@ -137,8 +149,7 @@ public:
         for (LabelId T : Flow.succs(L))
           A.join(Out, Pre[Flow.indexOf(T)]);
         Post[I] = std::move(Out);
-        Value In = A.transfer(L, S, Post[I]);
-        if (A.join(Pre[I], In))
+        if (Update(Pre[I], A.transfer(L, S, Post[I]), I))
           for (LabelId P : Flow.preds(L))
             enqueue(Work, Queued, P);
       }
@@ -183,68 +194,46 @@ struct ProcEffects {
 /// graph, indexed by ProcId.
 std::vector<ProcEffects> computeProcEffects(const CfgProgram &Prog);
 
-//===----------------------------------------------------------------------===//
-// Constant propagation
-//===----------------------------------------------------------------------===//
-
-/// A known constant value (int, bool, or bitvector payload as int64).
-struct ConstVal {
-  bool IsBool = false;
-  int64_t V = 0;
-
-  static ConstVal ofInt(int64_t V) { return {false, V}; }
-  static ConstVal ofBool(bool B) { return {true, B ? 1 : 0}; }
-
-  friend bool operator==(const ConstVal &A, const ConstVal &B) {
-    return A.IsBool == B.IsBool && A.V == B.V;
-  }
-};
-
-/// Must-constant environment: missing variables are unknown (top); Bottom
-/// means the program point is unreachable.
-class ConstEnv {
+/// Backward strong liveness. A variable is live at a point when its current
+/// value can still reach an assume, a call that reads it, or the procedure's
+/// exit, where every global and the procedure's returns are live. An
+/// assignment's right-hand side is read only when its target is live, so a
+/// chain of stores nobody observes is dead as a whole. Calls kill their
+/// result bindings but never the globals they write.
+///
+/// Two optional inputs narrow what counts as a read:
+///  * \p Rel (Slicer.h) restricts liveness to query-relevant variables: only
+///    relevant globals and returns are live at exit, and a call reads only
+///    relevant globals and the arguments of relevant parameters. Null means
+///    every variable is relevant.
+///  * \p FX (computeProcEffects) gives each callee's transitive global reads.
+///    Null means a callee may read every global, which stays sound on
+///    unbounded, possibly recursive programs that have no effect summaries.
+class Liveness {
 public:
-  static ConstEnv bottomEnv() {
-    ConstEnv E;
-    E.Bottom = true;
-    return E;
+  using Value = std::set<Symbol>;
+  static constexpr FlowDirection Direction = FlowDirection::Backward;
+
+  Liveness(const CfgProgram &Prog, ProcId P, const Relevance *Rel = nullptr,
+           const std::vector<ProcEffects> *FX = nullptr);
+
+  Value bottom() const { return {}; }
+  Value boundary() const { return ExitLive; }
+  bool join(Value &Into, const Value &From) const {
+    size_t N = Into.size();
+    Into.insert(From.begin(), From.end());
+    return Into.size() != N;
   }
-  static ConstEnv topEnv() { return ConstEnv(); }
-
-  bool isBottom() const { return Bottom; }
-
-  std::optional<ConstVal> get(Symbol Var) const {
-    auto It = Known.find(Var);
-    return It == Known.end() ? std::nullopt : std::optional(It->second);
-  }
-  void set(Symbol Var, ConstVal V) {
-    if (!Bottom)
-      Known[Var] = V;
-  }
-  void forget(Symbol Var) { Known.erase(Var); }
-
-  /// Join: keep only bindings both sides agree on. Returns true on change.
-  bool joinWith(const ConstEnv &O);
-
-  friend bool operator==(const ConstEnv &A, const ConstEnv &B) {
-    if (A.Bottom || B.Bottom)
-      return A.Bottom == B.Bottom;
-    return A.Known == B.Known;
-  }
-
-  const std::unordered_map<Symbol, ConstVal> &values() const { return Known; }
+  Value transfer(LabelId, const CfgStmt &S, const Value &Post) const;
 
 private:
-  bool Bottom = false;
-  std::unordered_map<Symbol, ConstVal> Known;
-};
+  bool relevantGlobal(Symbol G) const;
 
-/// Evaluates \p E to a constant under \p Env when possible. Only int- and
-/// bool-typed expressions fold; division by a (possibly) zero constant and
-/// anything overflowing int64 stay unknown. Boolean connectives fold
-/// short-circuit style (false && unknown == false), which is exact because
-/// expressions are total.
-std::optional<ConstVal> evalConstExpr(const Expr *E, const ConstEnv &Env);
+  const CfgProgram &Prog;
+  const Relevance *Rel;
+  const std::vector<ProcEffects> *FX;
+  Value ExitLive;
+};
 
 //===----------------------------------------------------------------------===//
 // The verification prepass
@@ -253,13 +242,11 @@ std::optional<ConstVal> evalConstExpr(const Expr *E, const ConstEnv &Env);
 /// Pass toggles (all on by default) plus pipeline-level knobs. The toggles
 /// select passes of the default pipeline order
 ///
-///   constprop → gvn → assumeelim → slice → splice → deadproc [→ inv]
+///   gvn → assumeelim → slice → splice → deadproc [→ inv]
 ///
 /// while a nonempty Passes string replaces the toggles with an explicit
 /// pipeline (see PassManager.h).
 struct PrepassOptions {
-  /// Constant propagation, expression folding, assume-false branch pruning.
-  bool ConstantFold = true;
   /// Value numbering + copy/expression propagation (Gvn.h).
   bool Gvn = true;
   /// Drop assumes entailed by value-numbered facts on all paths (Gvn.h).
@@ -273,7 +260,7 @@ struct PrepassOptions {
   /// Append interval-invariant injection (the paper's +Inv) last. Off by
   /// default; the verifier sets it from VerifierOptions::UseInvariants.
   bool Invariants = false;
-  /// Explicit pipeline, e.g. "constprop,gvn,slice". Overrides every toggle
+  /// Explicit pipeline, e.g. "gvn,slice,splice". Overrides every toggle
   /// above when nonempty.
   std::string Passes;
   /// Run the structural CFG verifier (VerifyCfg.h) on the input and after
@@ -291,10 +278,6 @@ struct PrepassOptions {
 struct PrepassReport {
   size_t LabelsBefore = 0, LabelsAfter = 0;
   size_t ProcsBefore = 0, ProcsAfter = 0;
-  /// Labels deleted because constant propagation proved them unreachable.
-  unsigned PrunedLabels = 0;
-  /// Expressions rewritten to literals.
-  unsigned FoldedExprs = 0;
   /// Statements the slicer reduced to skips (plus havoc lists shrunk).
   unsigned SlicedStmts = 0;
   /// Calls to effect-free procedures elided by the slicer.
@@ -307,7 +290,8 @@ struct PrepassReport {
   unsigned PropagatedExprs = 0;
   /// `assume e` labels proven entailed and reduced to skips.
   unsigned RedundantAssumes = 0;
-  /// `assume e` labels proven contradictory and sharpened to assume false.
+  /// `assume e` labels proven contradictory and sharpened to assume false,
+  /// plus assumes GVN folded to false; either way their successors are cut.
   unsigned ContradictedAssumes = 0;
   /// Invariant conjuncts injected by the inv pass (0 without +Inv).
   unsigned InvariantConjuncts = 0;
@@ -329,12 +313,6 @@ struct PrepassReport {
   std::string str() const;
 };
 
-/// Runs constant propagation over every procedure: folds expressions to
-/// literals, cuts the successors of definitely-false assumes, and deletes
-/// labels no execution reaches. Accumulates into R.PrunedLabels and
-/// R.FoldedExprs.
-void runConstPass(AstContext &Ctx, CfgProgram &Prog, PrepassReport &R);
-
 /// Deletes labels with KeepLabel[L] == false, renumbering labels and
 /// filtering target lists. Entry labels of every procedure must be kept.
 /// Returns the number of labels removed.
@@ -353,9 +331,8 @@ unsigned spliceSkips(CfgProgram &Prog);
 /// Runs the prepass pipeline on \p Prog rooted at \p Root. The pipeline is
 /// assembled from \p Opts (see PrepassOptions; the default is
 ///
-///   constant folding + branch pruning  →  GVN/copy propagation
-///   →  assume-redundancy elimination  →  query slicing  →  skip splicing
-///   →  dead-procedure elimination)
+///   GVN/copy propagation  →  assume-redundancy elimination
+///   →  query slicing  →  skip splicing  →  dead-procedure elimination)
 ///
 /// and executed through the pass manager (PassManager.h), which times each
 /// pass into \p S (when given) and re-verifies the structural invariants

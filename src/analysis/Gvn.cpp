@@ -52,19 +52,6 @@ struct VKey {
   }
 };
 
-/// SMT-LIB Euclidean division/remainder, mirrored from evalConstExpr so the
-/// two folders can never disagree.
-int64_t euclideanMod(int64_t A, int64_t B) {
-  int64_t R = A % B;
-  if (R < 0)
-    R += (B > 0) ? B : -B;
-  return R;
-}
-
-int64_t euclideanDiv(int64_t A, int64_t B) {
-  return (A - euclideanMod(A, B)) / B;
-}
-
 /// The per-procedure value table: hash-consed value numbers with literal
 /// tracking and algebraic simplification at allocation time. Because every
 /// allocation is keyed, re-running a transfer function (worklist revisits)
@@ -330,7 +317,8 @@ private:
     }
 
     // Literal folding over the mathematical integers (bitvectors carry
-    // modular semantics we leave to the solver, mirroring evalConstExpr).
+    // modular semantics we leave to the solver). Division goes through the
+    // evaluator's Euclidean folder (ast/Ops.h), so the two cannot disagree.
     if (!isIntLit(A, IA) || !isIntLit(B, IB))
       return std::nullopt;
     int64_t Out;
@@ -639,6 +627,10 @@ bool isLiteralExpr(const Expr *E) {
   return E->kind() == ExprKind::IntLit || E->kind() == ExprKind::BoolLit;
 }
 
+bool isFalseLiteral(const Expr *E) {
+  return E->kind() == ExprKind::BoolLit && !E->boolValue();
+}
+
 /// Rewrites expressions of one label against the solved pre-state: every
 /// subexpression whose value number has a cheaper congruent leader (a
 /// literal, else the smallest-named variable currently bound to that number)
@@ -780,7 +772,7 @@ GvnReport runGvnImpl(AstContext &Ctx, CfgProgram &Prog, bool Propagate,
 
     for (LabelId L : Flow.topo()) {
       if (Solver.pre(L).Bottom)
-        continue; // unreachable; constprop's pruning owns these
+        continue; // no execution reaches L: nothing to rewrite
       CfgStmt &S = Prog.Labels[L].Stmt;
       // The solved states describe the original program; rewriting against
       // them stays valid because every rewrite preserves each statement's
@@ -811,6 +803,12 @@ GvnReport runGvnImpl(AstContext &Ctx, CfgProgram &Prog, bool Propagate,
           Rewriter RW(Ctx, VT, Proc, Solver.pre(L));
           S.E = RW.rewrite(S.E, L);
           R.PropagatedExprs += RW.replaced();
+          // A blocked label never completes, so its out-edges are dead; the
+          // splicer sweeps the region this cuts off.
+          if (isFalseLiteral(S.E) && !Prog.Labels[L].Targets.empty()) {
+            Prog.Labels[L].Targets.clear();
+            ++R.ContradictedAssumes;
+          }
         }
         break;
       }

@@ -33,7 +33,8 @@
 ///    rewritten bottom-up, replacing any subexpression whose value number has
 ///    a cheaper leader (a literal, else the smallest in-scope variable bound
 ///    to that number), which collapses `y := x; z := y + 1` chains and
-///    shrinks Gen_pVC term counts directly;
+///    shrinks Gen_pVC term counts directly; an assume that folds to
+///    `assume false` loses its successors, as in the elimination below;
 ///  * assume-redundancy elimination — `assume e` where vn(e) is entailed
 ///    true on all incoming paths becomes a skip (to be spliced), and
 ///    `assume e` where vn(e) is entailed false is sharpened to
@@ -72,7 +73,8 @@ struct GvnReport {
 
 /// Runs value numbering + copy propagation over every procedure of \p Prog,
 /// rewriting statements in place. Does not change the flow graph shape except
-/// for cutting successors of assumes sharpened to false.
+/// for cutting successors of assumes that fold to false (counted in
+/// ContradictedAssumes).
 GvnReport runGvn(AstContext &Ctx, CfgProgram &Prog);
 
 /// Runs only the assume-redundancy elimination (entailment via the same value

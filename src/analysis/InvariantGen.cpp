@@ -7,27 +7,34 @@
 
 using namespace rmt;
 
-void AbsEnv::joinWith(const AbsEnv &O) {
+bool AbsEnv::joinWith(const AbsEnv &O) {
   if (O.Bottom)
-    return;
+    return false;
   if (Bottom) {
     *this = O;
-    return;
+    return true;
   }
   // Missing keys are top; a key survives only if bounded on both sides.
-  for (auto It = Vals.begin(); It != Vals.end();) {
-    auto OIt = O.Vals.find(It->first);
-    if (OIt == O.Vals.end()) {
-      It = Vals.erase(It);
+  // Both sides are sorted, so one merge walk pairs them up.
+  bool Changed = false;
+  size_t Kept = 0;
+  auto OIt = O.Vals.begin();
+  for (size_t K = 0; K < Vals.size(); ++K) {
+    auto [Var, I] = Vals[K];
+    while (OIt != O.Vals.end() && OIt->first < Var)
+      ++OIt;
+    Interval J = OIt != O.Vals.end() && OIt->first == Var
+                     ? I.join(OIt->second)
+                     : Interval::top();
+    if (J.isTop()) {
+      Changed = true;
       continue;
     }
-    It->second = It->second.join(OIt->second);
-    if (It->second.isTop()) {
-      It = Vals.erase(It);
-      continue;
-    }
-    ++It;
+    Changed |= J != I;
+    Vals[Kept++] = {Var, J};
   }
+  Vals.erase(Vals.begin() + Kept, Vals.end());
+  return Changed;
 }
 
 AbsEnv AbsEnv::widen(const AbsEnv &Old, const AbsEnv &New) {
@@ -39,10 +46,7 @@ AbsEnv AbsEnv::widen(const AbsEnv &Old, const AbsEnv &New) {
   // Missing keys are top; only keys present in both can keep bounds, and a
   // bound survives only if it did not move since the previous iterate.
   for (const auto &[Var, NewI] : New.Vals) {
-    auto It = Old.Vals.find(Var);
-    if (It == Old.Vals.end())
-      continue; // was top before? no — was absent ⇒ treat as moved ⇒ top
-    const Interval &OldI = It->second;
+    Interval OldI = Old.get(Var);
     Interval W = Interval::top();
     if (NewI.hasLo() && OldI.hasLo() && NewI.lo() == OldI.lo())
       W = W.meet(Interval::atLeast(NewI.lo()));
@@ -55,6 +59,9 @@ AbsEnv AbsEnv::widen(const AbsEnv &Old, const AbsEnv &New) {
 
 IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
     : Prog(Prog) {
+  Flows.reserve(Prog.Procs.size());
+  for (ProcId P = 0; P < Prog.Procs.size(); ++P)
+    Flows.emplace_back(Prog, P);
   EntryEnvs.assign(Prog.Procs.size(), AbsEnv::bottomEnv());
   ExitSummaries.assign(Prog.Procs.size(), AbsEnv::bottomEnv());
   ContextExitSummaries.assign(Prog.Procs.size(), AbsEnv::bottomEnv());
@@ -108,91 +115,9 @@ IntervalAnalysis::IntervalAnalysis(const CfgProgram &Prog, ProcId Entry)
   }
 }
 
-AbsEnv IntervalAnalysis::analyzeProc(ProcId P, const AbsEnv &Entry,
-                                     const std::vector<AbsEnv> &CallSummaries,
-                                     bool Record) {
-  const CfgProc &Proc = Prog.proc(P);
-  std::unordered_map<LabelId, AbsEnv> Pre;
-  for (LabelId L : Proc.Labels)
-    Pre[L] = AbsEnv::bottomEnv();
-  // Entry env constrains globals and parameters only; returns and locals
-  // start nondeterministic (which "top" already expresses).
-  Pre[Proc.Entry] = Entry;
+namespace {
 
-  AbsEnv Exit = AbsEnv::bottomEnv();
-  for (LabelId L : Prog.topoOrder(P)) {
-    const AbsEnv &In = Pre[L];
-    if (In.isBottom() && L != Proc.Entry) {
-      // Unreachable label (or dead branch).
-      continue;
-    }
-    AbsEnv Out = In;
-    const CfgStmt &S = Prog.label(L).Stmt;
-    switch (S.Kind) {
-    case CfgStmtKind::Assume:
-      refine(Out, S.E, /*Positive=*/true);
-      break;
-    case CfgStmtKind::Assign:
-      Out.set(S.Target, evalExpr(S.E, In));
-      break;
-    case CfgStmtKind::Havoc:
-      for (Symbol V : S.Vars)
-        Out.set(V, Proc.typeOf(V) && Proc.typeOf(V)->isBool()
-                       ? Interval::boolTop()
-                       : Interval::top());
-      break;
-    case CfgStmtKind::Call: {
-      const CfgProc &Callee = Prog.proc(S.Callee);
-      if (Record) {
-        // Contribute this context to the callee's entry invariant.
-        AbsEnv Context;
-        for (const VarDecl &G : Prog.Globals)
-          Context.set(G.Name, In.get(G.Name));
-        for (size_t I = 0; I < Callee.Params.size(); ++I)
-          Context.set(Callee.Params[I].Name, evalExpr(S.Args[I], In));
-        if (!In.isBottom())
-          EntryEnvs[S.Callee].joinWith(Context);
-      }
-      // Post-state: globals and results come from the callee's summary. A
-      // bottom summary means "no terminated execution of the callee is
-      // known (yet)": the continuation is unreachable. During the ascending
-      // iteration this is the least-fixpoint reading; at the fixpoint it is
-      // exact (our callees always terminate control-wise, so a reachable
-      // call's callee has a non-bottom summary).
-      const AbsEnv &Summary = CallSummaries[S.Callee];
-      if (Summary.isBottom()) {
-        Out = AbsEnv::bottomEnv();
-        break;
-      }
-      for (const VarDecl &G : Prog.Globals)
-        Out.set(G.Name, Summary.get(G.Name));
-      for (size_t I = 0; I < S.Vars.size(); ++I)
-        Out.set(S.Vars[I], Summary.get(Callee.Returns[I].Name));
-      break;
-    }
-    }
-
-    if (Prog.label(L).Targets.empty()) {
-      // Exit label: project onto globals and returns for the summary.
-      AbsEnv Projected;
-      if (Out.isBottom()) {
-        Projected = AbsEnv::bottomEnv();
-      } else {
-        for (const VarDecl &G : Prog.Globals)
-          Projected.set(G.Name, Out.get(G.Name));
-        for (const VarDecl &R : Proc.Returns)
-          Projected.set(R.Name, Out.get(R.Name));
-      }
-      Exit.joinWith(Projected);
-    } else {
-      for (LabelId T : Prog.label(L).Targets)
-        Pre[T].joinWith(Out);
-    }
-  }
-  return Exit;
-}
-
-Interval IntervalAnalysis::evalExpr(const Expr *E, const AbsEnv &Env) const {
+Interval evalExpr(const Expr *E, const AbsEnv &Env) {
   if (Env.isBottom())
     return Interval::bottom();
   // Bitvector values wrap; the (mathematical-integer) interval domain does
@@ -286,8 +211,7 @@ Interval IntervalAnalysis::evalExpr(const Expr *E, const AbsEnv &Env) const {
   return Interval::top();
 }
 
-void IntervalAnalysis::refine(AbsEnv &Env, const Expr *E,
-                              bool Positive) const {
+void refine(AbsEnv &Env, const Expr *E, bool Positive) {
   if (Env.isBottom())
     return;
   switch (E->kind()) {
@@ -398,6 +322,111 @@ void IntervalAnalysis::refine(AbsEnv &Env, const Expr *E,
   default:
     break;
   }
+}
+
+/// One procedure body as a forward DataflowSolver analysis over interval
+/// stores. The boundary is the procedure's entry state: it constrains
+/// globals and parameters only, while returns and locals start
+/// nondeterministic (which "top" already expresses).
+class IntervalFlow {
+public:
+  using Value = AbsEnv;
+  static constexpr FlowDirection Direction = FlowDirection::Forward;
+
+  IntervalFlow(const CfgProgram &Prog, ProcId P, const AbsEnv &Entry,
+               const std::vector<AbsEnv> &CallSummaries)
+      : Prog(Prog), Proc(Prog.proc(P)), Entry(Entry),
+        CallSummaries(CallSummaries) {}
+
+  Value bottom() const { return AbsEnv::bottomEnv(); }
+  Value boundary() const { return Entry; }
+  bool join(Value &Into, const Value &From) const {
+    return Into.joinWith(From);
+  }
+
+  Value transfer(LabelId, const CfgStmt &S, const Value &In) const {
+    if (In.isBottom())
+      return In; // unreachable label (or dead branch)
+    AbsEnv Out = In;
+    switch (S.Kind) {
+    case CfgStmtKind::Assume:
+      refine(Out, S.E, /*Positive=*/true);
+      break;
+    case CfgStmtKind::Assign:
+      Out.set(S.Target, evalExpr(S.E, In));
+      break;
+    case CfgStmtKind::Havoc:
+      for (Symbol V : S.Vars)
+        Out.set(V, Proc.typeOf(V) && Proc.typeOf(V)->isBool()
+                       ? Interval::boolTop()
+                       : Interval::top());
+      break;
+    case CfgStmtKind::Call: {
+      // Post-state: globals and results come from the callee's summary. A
+      // bottom summary means "no terminated execution of the callee is
+      // known (yet)": the continuation is unreachable. During the ascending
+      // iteration this is the least-fixpoint reading; at the fixpoint it is
+      // exact (our callees always terminate control-wise, so a reachable
+      // call's callee has a non-bottom summary).
+      const AbsEnv &Summary = CallSummaries[S.Callee];
+      if (Summary.isBottom())
+        return AbsEnv::bottomEnv();
+      const CfgProc &Callee = Prog.proc(S.Callee);
+      for (const VarDecl &G : Prog.Globals)
+        Out.set(G.Name, Summary.get(G.Name));
+      for (size_t I = 0; I < S.Vars.size(); ++I)
+        Out.set(S.Vars[I], Summary.get(Callee.Returns[I].Name));
+      break;
+    }
+    }
+    return Out;
+  }
+
+private:
+  const CfgProgram &Prog;
+  const CfgProc &Proc;
+  const AbsEnv &Entry;
+  const std::vector<AbsEnv> &CallSummaries;
+};
+
+} // namespace
+
+AbsEnv IntervalAnalysis::analyzeProc(ProcId P, const AbsEnv &Entry,
+                                     const std::vector<AbsEnv> &CallSummaries,
+                                     bool Record) {
+  const ProcFlow &Flow = Flows[P];
+  IntervalFlow A(Prog, P, Entry, CallSummaries);
+  DataflowSolver<IntervalFlow> Solver(Flow, A);
+  Solver.solve();
+
+  const CfgProc &Proc = Prog.proc(P);
+  AbsEnv Exit = AbsEnv::bottomEnv();
+  for (LabelId L : Flow.topo()) {
+    const CfgLabel &Lbl = Prog.label(L);
+    const AbsEnv &In = Solver.pre(L);
+    if (Record && Lbl.Stmt.Kind == CfgStmtKind::Call && !In.isBottom()) {
+      // Contribute this context to the callee's entry invariant.
+      const CfgStmt &S = Lbl.Stmt;
+      const CfgProc &Callee = Prog.proc(S.Callee);
+      AbsEnv Context;
+      for (const VarDecl &G : Prog.Globals)
+        Context.set(G.Name, In.get(G.Name));
+      for (size_t I = 0; I < Callee.Params.size(); ++I)
+        Context.set(Callee.Params[I].Name, evalExpr(S.Args[I], In));
+      EntryEnvs[S.Callee].joinWith(Context);
+    }
+    const AbsEnv &Out = Solver.post(L);
+    if (Lbl.Targets.empty() && !Out.isBottom()) {
+      // Exit label: project onto globals and returns for the summary.
+      AbsEnv Projected;
+      for (const VarDecl &G : Prog.Globals)
+        Projected.set(G.Name, Out.get(G.Name));
+      for (const VarDecl &R : Proc.Returns)
+        Projected.set(R.Name, Out.get(R.Name));
+      Exit.joinWith(Projected);
+    }
+  }
+  return Exit;
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,6 +19,10 @@
 ///           iteration runs to a post-fixpoint with interval widening after
 ///           a few rounds to force convergence.
 ///
+/// Each intraprocedural step is a forward DataflowSolver analysis
+/// (Dataflow.h) over the interval store AbsEnv; call-site contexts and exit
+/// summaries are read off the solved states.
+///
 /// injectInvariants() materializes the results the way Corral consumes
 /// Houdini output: each procedure's entry invariant becomes an `assume`
 /// label spliced in front of its entry, and each call site gets an `assume`
@@ -34,17 +38,21 @@
 #ifndef RMT_ANALYSIS_INVARIANTGEN_H
 #define RMT_ANALYSIS_INVARIANTGEN_H
 
+#include "analysis/Dataflow.h"
 #include "analysis/Interval.h"
 #include "ast/AstContext.h"
 #include "cfg/Cfg.h"
 
 #include <string>
-#include <unordered_map>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace rmt {
 
 /// An abstract store: missing variables are top; Bottom means unreachable.
+/// Bounded variables are kept sorted by symbol in a flat vector, so copies
+/// (one per label and state) are a single allocation.
 class AbsEnv {
 public:
   static AbsEnv bottomEnv() {
@@ -58,8 +66,9 @@ public:
   Interval get(Symbol Var) const {
     if (Bottom)
       return Interval::bottom();
-    auto It = Vals.find(Var);
-    return It == Vals.end() ? Interval::top() : It->second;
+    size_t K = position(Var);
+    return K < Vals.size() && Vals[K].first == Var ? Vals[K].second
+                                                   : Interval::top();
   }
 
   /// Setting any variable to bottom collapses the whole env to bottom.
@@ -71,13 +80,20 @@ public:
       Vals.clear();
       return;
     }
-    if (I.isTop())
-      Vals.erase(Var);
-    else
-      Vals[Var] = I;
+    size_t K = position(Var);
+    bool Found = K < Vals.size() && Vals[K].first == Var;
+    if (I.isTop()) {
+      if (Found)
+        Vals.erase(Vals.begin() + K);
+    } else if (Found) {
+      Vals[K].second = I;
+    } else {
+      Vals.insert(Vals.begin() + K, {Var, I});
+    }
   }
 
-  void joinWith(const AbsEnv &O);
+  /// Pointwise interval hull. Returns true when this env changed.
+  bool joinWith(const AbsEnv &O);
 
   friend bool operator==(const AbsEnv &A, const AbsEnv &B) {
     if (A.Bottom || B.Bottom)
@@ -90,11 +106,19 @@ public:
   /// forces the ascending iteration to converge.
   static AbsEnv widen(const AbsEnv &Old, const AbsEnv &New);
 
-  const std::unordered_map<Symbol, Interval> &values() const { return Vals; }
-
 private:
+  using Binding = std::pair<Symbol, Interval>;
+
+  /// Index of the first binding whose symbol is not below \p Var.
+  size_t position(Symbol Var) const {
+    return std::lower_bound(
+               Vals.begin(), Vals.end(), Var,
+               [](const Binding &B, Symbol V) { return B.first < V; }) -
+           Vals.begin();
+  }
+
   bool Bottom = false;
-  std::unordered_map<Symbol, Interval> Vals;
+  std::vector<Binding> Vals;
 };
 
 /// Whole-program interval analysis results.
@@ -117,16 +141,16 @@ public:
   }
 
 private:
-  /// Runs the intraprocedural pass over \p P with \p Entry as the entry
-  /// state. Call post-states come from \p CallSummaries. When \p Record is
-  /// set, call-site contexts are accumulated into EntryEnvs of the callees.
+  /// Solves \p P's body with \p Entry as the entry state and returns its
+  /// exit summary. Call post-states come from \p CallSummaries. When
+  /// \p Record is set, call-site contexts are accumulated into EntryEnvs of
+  /// the callees.
   AbsEnv analyzeProc(ProcId P, const AbsEnv &Entry,
                      const std::vector<AbsEnv> &CallSummaries, bool Record);
 
-  Interval evalExpr(const Expr *E, const AbsEnv &Env) const;
-  void refine(AbsEnv &Env, const Expr *E, bool Positive) const;
-
   const CfgProgram &Prog;
+  /// Flow graph of every procedure, built once for all rounds.
+  std::vector<ProcFlow> Flows;
   std::vector<AbsEnv> EntryEnvs;
   std::vector<AbsEnv> ExitSummaries;
   std::vector<AbsEnv> ContextExitSummaries;

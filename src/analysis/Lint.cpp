@@ -128,62 +128,6 @@ public:
   }
 };
 
-//===----------------------------------------------------------------------===//
-// Plain liveness (backward; dead-store detection)
-//===----------------------------------------------------------------------===//
-
-/// Regular liveness with a maximally conservative call transfer (the callee
-/// may read any global), so it stays sound on recursive programs without
-/// needing call-graph summaries.
-class PlainLiveness {
-public:
-  using Value = std::set<Symbol>;
-  static constexpr FlowDirection Direction = FlowDirection::Backward;
-
-  PlainLiveness(Value ExitLive, Value Globals)
-      : ExitLive(std::move(ExitLive)), Globals(std::move(Globals)) {}
-
-  Value bottom() const { return {}; }
-  Value boundary() const { return ExitLive; }
-
-  bool join(Value &Into, const Value &From) const {
-    bool Changed = false;
-    for (Symbol V : From)
-      Changed |= Into.insert(V).second;
-    return Changed;
-  }
-
-  Value transfer(LabelId, const CfgStmt &S, const Value &Post) const {
-    Value Pre = Post;
-    switch (S.Kind) {
-    case CfgStmtKind::Assume:
-      collectExprVars(S.E, Pre);
-      break;
-    case CfgStmtKind::Assign:
-      Pre.erase(S.Target);
-      collectExprVars(S.E, Pre);
-      break;
-    case CfgStmtKind::Havoc:
-      for (Symbol V : S.Vars)
-        Pre.erase(V);
-      break;
-    case CfgStmtKind::Call:
-      for (Symbol V : S.Vars)
-        Pre.erase(V);
-      for (const Expr *A : S.Args)
-        collectExprVars(A, Pre);
-      for (Symbol G : Globals)
-        Pre.insert(G);
-      break;
-    }
-    return Pre;
-  }
-
-private:
-  Value ExitLive;
-  Value Globals;
-};
-
 /// Reads of a CFG statement.
 void stmtReads(const CfgStmt &S, std::set<Symbol> &Out) {
   switch (S.Kind) {
@@ -255,8 +199,6 @@ LintReport rmt::lintProgram(AstContext &Ctx, const Program &Prog,
       unrollLoops(Ctx, Rewritten, std::max(1u, Opts.UnrollBound));
   CfgProgram Cfg = lowerToCfg(Ctx, Bounded);
 
-  std::set<Symbol> Globals = GlobalScope;
-
   for (ProcId P = 0; P < Cfg.Procs.size(); ++P) {
     const CfgProc &Proc = Cfg.proc(P);
 
@@ -315,14 +257,13 @@ LintReport rmt::lintProgram(AstContext &Ctx, const Program &Prog,
       }
     }
 
-    // --- Dead stores: flag an assignment only when every copy is dead.
+    // --- Dead stores: flag an assignment only when every copy is dead. The
+    // program may be recursive, so there are no effect summaries: a call
+    // may read every global.
     {
-      std::set<Symbol> ExitLive = Globals;
-      for (const VarDecl &V : Proc.Returns)
-        ExitLive.insert(V.Name);
       ProcFlow Flow(Cfg, P);
-      PlainLiveness A(std::move(ExitLive), Globals);
-      DataflowSolver<PlainLiveness> Solver(Flow, A);
+      Liveness A(Cfg, P);
+      DataflowSolver<Liveness> Solver(Flow, A);
       Solver.solve();
 
       std::map<std::pair<LocKey, Symbol>, bool> AnyLiveStore;

@@ -15,7 +15,8 @@
 ///  * unreachable code (warning) — statements no control-flow path from the
 ///    procedure entry reaches (e.g. code after `return`);
 ///  * dead stores (warning) — assignments to locals whose value no later
-///    statement can read.
+///    statement can observe; liveness is strong, so in `t := 1; u := t;`
+///    with `u` never read, both stores are dead.
 ///
 /// Error-severity findings make `hbpl_verify --lint` exit nonzero (exit
 /// code 2), so the lint gate is scriptable in CI.

@@ -19,20 +19,6 @@ using namespace rmt;
 
 namespace {
 
-class ConstPropPass : public Pass {
-public:
-  std::string_view name() const override { return "constprop"; }
-  std::string_view description() const override {
-    return "constant propagation, folding, assume-false branch pruning";
-  }
-  bool run(PassContext &PC) override {
-    unsigned Pruned = PC.Report.PrunedLabels;
-    unsigned Folded = PC.Report.FoldedExprs;
-    runConstPass(PC.Ctx, PC.Prog, PC.Report);
-    return PC.Report.PrunedLabels != Pruned || PC.Report.FoldedExprs != Folded;
-  }
-};
-
 class GvnPass : public Pass {
 public:
   std::string_view name() const override { return "gvn"; }
@@ -42,6 +28,7 @@ public:
   bool run(PassContext &PC) override {
     GvnReport R = runGvn(PC.Ctx, PC.Prog);
     PC.Report.PropagatedExprs += R.PropagatedExprs;
+    PC.Report.ContradictedAssumes += R.ContradictedAssumes;
     return R.total() != 0;
   }
 };
@@ -100,54 +87,6 @@ public:
   }
 };
 
-/// Backward live-variable lattice for the lint-audit pass. Liveness is
-/// over-approximated — calls keep their callee's transitive global reads
-/// live and never kill the globals they write, and every global and return
-/// variable is observable at exit — so a store flagged dead really is
-/// unobservable.
-struct AuditLiveness {
-  using Value = std::set<Symbol>;
-  static constexpr FlowDirection Direction = FlowDirection::Backward;
-
-  const std::vector<ProcEffects> &FX;
-  std::set<Symbol> Observable;
-
-  Value bottom() const { return {}; }
-  Value boundary() const { return Observable; }
-  bool join(Value &Into, const Value &From) const {
-    size_t N = Into.size();
-    Into.insert(From.begin(), From.end());
-    return Into.size() != N;
-  }
-  Value transfer(LabelId, const CfgStmt &S, const Value &Out) const {
-    Value In = Out;
-    switch (S.Kind) {
-    case CfgStmtKind::Assume:
-      collectExprVars(S.E, In);
-      break;
-    case CfgStmtKind::Assign:
-      // Strong update: the right-hand side only matters if someone later
-      // reads the target.
-      if (In.erase(S.Target))
-        collectExprVars(S.E, In);
-      break;
-    case CfgStmtKind::Havoc:
-      for (Symbol V : S.Vars)
-        In.erase(V);
-      break;
-    case CfgStmtKind::Call:
-      for (Symbol V : S.Vars)
-        In.erase(V);
-      for (const Expr *A : S.Args)
-        collectExprVars(A, In);
-      In.insert(FX[S.Callee].UseGlobals.begin(),
-                FX[S.Callee].UseGlobals.end());
-      break;
-    }
-    return In;
-  }
-};
-
 class LintAuditPass : public Pass {
 public:
   std::string_view name() const override { return "lint"; }
@@ -157,9 +96,6 @@ public:
   bool run(PassContext &PC) override {
     const CfgProgram &Prog = PC.Prog;
     std::vector<ProcEffects> FX = computeProcEffects(Prog);
-    std::set<Symbol> Globals;
-    for (const VarDecl &G : Prog.Globals)
-      Globals.insert(G.Name);
 
     for (ProcId P = 0; P < Prog.Procs.size(); ++P) {
       const CfgProc &Proc = Prog.proc(P);
@@ -178,11 +114,12 @@ public:
           }
       }
 
-      AuditLiveness A{FX, Globals};
-      for (const VarDecl &R : Proc.Returns)
-        A.Observable.insert(R.Name);
+      // Every global and return is observable at exit, and calls read their
+      // callee's transitive globals: a store flagged dead really is
+      // unobservable.
+      Liveness A(Prog, P, /*Rel=*/nullptr, &FX);
       ProcFlow Flow(Prog, P);
-      DataflowSolver<AuditLiveness> Solver(Flow, A);
+      DataflowSolver<Liveness> Solver(Flow, A);
       Solver.solve();
 
       for (LabelId L : Proc.Labels) {
@@ -226,7 +163,6 @@ PassRegistry &PassRegistry::instance() {
   static PassRegistry R = [] {
     PassRegistry Reg;
     // Registration order defines the default pipeline order.
-    Reg.registerPass("constprop", make<ConstPropPass>);
     Reg.registerPass("gvn", make<GvnPass>);
     Reg.registerPass("assumeelim", make<AssumeElimPass>);
     Reg.registerPass("slice", make<SlicePass>);
@@ -314,7 +250,6 @@ PassPipeline PassPipeline::fromOptions(const PrepassOptions &Opts) {
     if (On)
       PL.append(PassRegistry::instance().create(Name));
   };
-  Add(Opts.ConstantFold, "constprop");
   Add(Opts.Gvn, "gvn");
   Add(Opts.AssumeElim, "assumeelim");
   Add(Opts.Slice, "slice");

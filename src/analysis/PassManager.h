@@ -7,7 +7,7 @@
 /// \file
 /// The pass-manager layer over the lowered label form. Every prepass
 /// transformation is a registered `Pass` with a stable name, so pipelines can
-/// be assembled from CLI strings (`--passes=constprop,gvn,slice`), timed and
+/// be assembled from CLI strings (`--passes=gvn,slice,splice`), timed and
 /// counted per pass, printed after every step (`--print-after-all`), and
 /// re-verified against the Fig. 7 structural invariants after every step
 /// (`--verify-each`, see VerifyCfg.h) — the discipline LLVM's pass manager
@@ -15,18 +15,20 @@
 ///
 /// Builtin passes (registration order is the default pipeline order):
 ///
-///   constprop  — constant propagation, folding, assume-false branch pruning
-///   gvn        — value numbering + copy/expression propagation (Gvn.h)
+///   gvn        — value numbering + copy/expression propagation, literal
+///                folding, and cutting assumes that fold to false (Gvn.h)
 ///   assumeelim — drop assumes entailed by value-numbered facts (Gvn.h)
 ///   slice      — cone-of-influence query slicing (Slicer.h)
 ///   splice     — splice `assume true` skip labels out of the flow graph
 ///   deadproc   — drop procedures unreachable from the root
-///   lint       — read-only audit of residual dead stores and unreachable
-///                labels; not part of the default pipeline (the AST-level
-///                `--lint` hygiene checks live in Lint.h — this pass audits
-///                what the transforming passes left behind)
-///   inv        — interval-invariant injection (InvariantGen.h); not part of
-///                the default pipeline, appended by +Inv configurations
+///   lint       — read-only audit of residual dead stores (the shared
+///                Liveness of Dataflow.h) and unreachable labels; not part of
+///                the default pipeline (the AST-level `--lint` hygiene checks
+///                live in Lint.h — this pass audits what the transforming
+///                passes left behind)
+///   inv        — interval-invariant injection (InvariantGen.h), a forward
+///                DataflowSolver analysis like the others; not part of the
+///                default pipeline, appended by +Inv configurations
 ///
 /// Passes mutate the program through a PassContext and accumulate their
 /// reduction counters into the shared PrepassReport (Dataflow.h), which keeps
@@ -119,7 +121,7 @@ public:
   size_t size() const { return Passes.size(); }
   bool empty() const { return Passes.empty(); }
 
-  /// "constprop,gvn,slice" — parseable back via parse().
+  /// "gvn,slice,splice" — parseable back via parse().
   std::string str() const;
 
   /// Runs every pass in order. Per-pass wall time and change counters land in

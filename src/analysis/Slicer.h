@@ -16,10 +16,10 @@
 ///  1. computes a flow-insensitive *relevance* closure over variables,
 ///     seeded with every variable read by an assume and with $err, closed
 ///     under assignment, call-argument and call-result dataflow;
-///  2. runs a backward *strong liveness* pass per procedure (an instance of
-///     the Dataflow.h framework) with the relevant globals and returns live
-///     at procedure exit, and deletes assignments and havocs whose target is
-///     dead — their value can never reach an assume or the query variable;
+///  2. runs the shared backward strong Liveness (Dataflow.h) per procedure,
+///     restricted to the relevant variables, and deletes assignments and
+///     havocs whose target is dead — their value can never reach an assume
+///     or the query variable;
 ///  3. elides calls to procedures whose body is nothing but skips: such a
 ///     callee always returns, and its (never-assigned) returns are
 ///     nondeterministic, so the call is equivalent to havocking the live

@@ -260,9 +260,17 @@ private:
       return Value::ofInt(L.asInt() - R.asInt());
     case BinOp::Mul:
       return Value::ofInt(L.asInt() * R.asInt());
+    // SMT-LIB semantics: the remainder is non-negative; x div 0 and x mod 0
+    // are uninterpreted in SMT, so the oracle picks 0 to stay total. Engines
+    // and the oracle agree only on runs with nonzero divisors; the workload
+    // generators never emit division by a possibly-zero expression.
     case BinOp::Div:
+      if (R.asInt() == 0)
+        return Value::ofInt(0);
       return Value::ofInt(euclideanDiv(L.asInt(), R.asInt()));
     case BinOp::Mod:
+      if (R.asInt() == 0)
+        return Value::ofInt(0);
       return Value::ofInt(euclideanMod(L.asInt(), R.asInt()));
     case BinOp::Eq:
       return Value::ofBool(L.equals(R));
@@ -283,26 +291,6 @@ private:
     }
     assert(false && "handled above");
     return Value();
-  }
-
-  /// SMT-LIB semantics: the remainder is non-negative; x div 0 and x mod 0
-  /// are uninterpreted in SMT — we pick 0 so the oracle stays total. Engines
-  /// and the oracle agree only on runs with nonzero divisors; the workload
-  /// generators never emit division by a possibly-zero expression.
-  static int64_t euclideanDiv(int64_t A, int64_t B) {
-    if (B == 0)
-      return 0;
-    // q such that A == q*B + r with r in [0, |B|).
-    return (A - euclideanMod(A, B)) / B;
-  }
-
-  static int64_t euclideanMod(int64_t A, int64_t B) {
-    if (B == 0)
-      return 0;
-    int64_t R = A % B;
-    if (R < 0)
-      R += (B > 0) ? B : -B;
-    return R;
   }
 
   Flow execBlock(const std::vector<const Stmt *> &Block) {

@@ -6,12 +6,15 @@
 ///
 /// \file
 /// Unary and binary operators shared by the AST, the evaluator, the type
-/// checker and the SMT term layer.
+/// checker and the SMT term layer, plus the one integer division/remainder
+/// folder the evaluator and GVN's literal folding both call.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RMT_AST_OPS_H
 #define RMT_AST_OPS_H
+
+#include <cstdint>
 
 namespace rmt {
 
@@ -87,6 +90,23 @@ inline bool isLogicalOp(BinOp Op) {
   default:
     return false;
   }
+}
+
+/// SMT-LIB Euclidean remainder: the result lies in [0, |B|). \p B must be
+/// nonzero (x mod 0 is uninterpreted in SMT-LIB).
+inline int64_t euclideanMod(int64_t A, int64_t B) {
+  if (B == -1) // every A mod -1 is 0, but INT64_MIN % -1 traps
+    return 0;
+  int64_t R = A % B;
+  if (R < 0)
+    R += (B > 0) ? B : -B;
+  return R;
+}
+
+/// SMT-LIB Euclidean division: the q with A == q*B + euclideanMod(A, B).
+/// \p B must be nonzero, and INT64_MIN div -1 overflows.
+inline int64_t euclideanDiv(int64_t A, int64_t B) {
+  return (A - euclideanMod(A, B)) / B;
 }
 
 /// Surface-syntax spelling of \p Op.

@@ -1,5 +1,6 @@
 //===- analysis_test.cpp - Interval domain and invariant injection ----------===//
 
+#include "analysis/Dataflow.h"
 #include "analysis/Interval.h"
 #include "analysis/InvariantGen.h"
 #include "cfg/Lower.h"
@@ -7,6 +8,7 @@
 #include "parser/Parser.h"
 #include "transform/Transforms.h"
 #include "workload/Chain.h"
+#include "workload/SdvGen.h"
 
 #include <gtest/gtest.h>
 
@@ -82,12 +84,14 @@ TEST(AbsEnvTest, JoinDropsOneSidedKeys) {
   A.set(X, Interval::constant(1));
   A.set(Y, Interval::constant(2));
   B.set(X, Interval::constant(3));
-  A.joinWith(B);
+  EXPECT_TRUE(A.joinWith(B));
   EXPECT_EQ(A.get(X), Interval::bounded(1, 3));
   EXPECT_TRUE(A.get(Y).isTop()); // missing in B => top
+  EXPECT_FALSE(A.joinWith(B));   // already the join: no change
   AbsEnv Bot = AbsEnv::bottomEnv();
-  Bot.joinWith(A);
+  EXPECT_TRUE(Bot.joinWith(A));
   EXPECT_EQ(Bot.get(X), Interval::bounded(1, 3));
+  EXPECT_FALSE(Bot.joinWith(AbsEnv::bottomEnv()));
 }
 
 TEST(AbsEnvTest, BottomPropagation) {
@@ -353,4 +357,39 @@ TEST(InjectInvariants, InvariantsPruneSearch) {
   // the over-approximate check concludes after inlining main alone.
   EXPECT_EQ(WithInv.Result.NumInlined, 1u);
   EXPECT_LT(WithInv.Result.NumInlined, Plain.Result.NumInlined);
+}
+
+TEST(InjectInvariants, PinnedCountsOnSdvDrivers) {
+  // Exact conjunct and post-prepass label counts for +Inv on four drivers of
+  // the benchmark's SDV corpus (bound 1), so any change to the interval
+  // fixpoint shows as a changed number, not just as "still > 0".
+  struct Pin {
+    unsigned K;
+    bool Bug;
+    unsigned Conjuncts;
+    size_t LabelsAfter;
+  };
+  for (Pin Want : {Pin{0, false, 106, 206}, Pin{1, true, 79, 223},
+                   Pin{3, false, 130, 282}, Pin{3, true, 54, 256}}) {
+    SdvParams SP;
+    SP.Seed = 1000 + Want.K;
+    SP.NumHandlers = 3 + Want.K % 2;
+    SP.NumUtils = 3 + (Want.K / 2) % 2;
+    SP.UtilDepth = 3;
+    SP.CallsPerHandler = 2;
+    SP.InjectBug = Want.Bug;
+    AstContext Ctx;
+    Program P = makeSdvProgram(Ctx, SP);
+    BoundedInstance B = prepareBounded(Ctx, P, Ctx.sym("main"), 1);
+    CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
+    ProcId Root = Cfg.findProc(B.Entry);
+    PrepassOptions Opts;
+    Opts.Invariants = true;
+    PrepassReport R = runPrepass(Ctx, Cfg, Root, B.ErrVar, Opts);
+    ASSERT_TRUE(R.ok());
+    EXPECT_EQ(R.InvariantConjuncts, Want.Conjuncts)
+        << "drv" << Want.K << (Want.Bug ? "_bug" : "_safe");
+    EXPECT_EQ(R.LabelsAfter, Want.LabelsAfter)
+        << "drv" << Want.K << (Want.Bug ? "_bug" : "_safe");
+  }
 }

@@ -1,6 +1,7 @@
 //===- dataflow_test.cpp - Dataflow framework, prepass, and lint ------------===//
 
 #include "analysis/Dataflow.h"
+#include "analysis/Gvn.h"
 #include "analysis/Lint.h"
 #include "analysis/Slicer.h"
 #include "cfg/Lower.h"
@@ -9,6 +10,8 @@
 #include "transform/Transforms.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace rmt;
 
@@ -66,27 +69,48 @@ struct CfgBuilder {
   }
 };
 
-/// Test analysis: forward constant tracking built from the public pieces
-/// (ConstEnv + evalConstExpr), ignoring calls — enough to exercise the
-/// solver's join/boundary plumbing.
-struct FwdConsts {
-  using Value = ConstEnv;
+/// Test analysis: forward tracking of variables assigned integer literals,
+/// ignoring calls — enough to exercise the solver's join/boundary plumbing.
+/// Bottom is "unreachable"; a missing variable is unknown.
+struct FwdLiterals {
+  struct Value {
+    bool Bottom = false;
+    std::map<Symbol, int64_t> Known;
+
+    std::optional<int64_t> get(Symbol V) const {
+      auto It = Known.find(V);
+      return It == Known.end() ? std::nullopt : std::optional(It->second);
+    }
+  };
   static constexpr FlowDirection Direction = FlowDirection::Forward;
 
-  Value bottom() const { return ConstEnv::bottomEnv(); }
-  Value boundary() const { return ConstEnv::topEnv(); }
+  Value bottom() const { return {true, {}}; }
+  Value boundary() const { return {}; }
   bool join(Value &Into, const Value &From) const {
-    return Into.joinWith(From);
+    if (From.Bottom)
+      return false;
+    if (Into.Bottom) {
+      Into = From;
+      return true;
+    }
+    bool Changed = false;
+    for (auto It = Into.Known.begin(); It != Into.Known.end();) {
+      if (From.get(It->first) != It->second) {
+        It = Into.Known.erase(It);
+        Changed = true;
+      } else {
+        ++It;
+      }
+    }
+    return Changed;
   }
   Value transfer(LabelId, const CfgStmt &S, const Value &In) const {
-    if (In.isBottom())
-      return In;
     Value Out = In;
-    if (S.Kind == CfgStmtKind::Assign) {
-      if (std::optional<ConstVal> V = evalConstExpr(S.E, In))
-        Out.set(S.Target, *V);
+    if (!In.Bottom && S.Kind == CfgStmtKind::Assign) {
+      if (S.E->kind() == ExprKind::IntLit)
+        Out.Known[S.Target] = S.E->intValue();
       else
-        Out.forget(S.Target);
+        Out.Known.erase(S.Target);
     }
     return Out;
   }
@@ -122,97 +146,100 @@ struct BwdLive {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Lattice pieces
+// Literal folding: GVN over the shared Euclidean folder
 //===----------------------------------------------------------------------===//
 
-TEST(ConstEnv, JoinKeepsAgreeingBindings) {
-  AstContext Ctx;
-  Symbol X = Ctx.sym("x"), Y = Ctx.sym("y");
+namespace {
 
-  ConstEnv A = ConstEnv::topEnv();
-  A.set(X, ConstVal::ofInt(1));
-  A.set(Y, ConstVal::ofInt(2));
-  ConstEnv B = ConstEnv::topEnv();
-  B.set(X, ConstVal::ofInt(1));
-  B.set(Y, ConstVal::ofInt(3));
-
-  EXPECT_TRUE(A.joinWith(B)); // y disagrees and is dropped
-  EXPECT_EQ(A.get(X), ConstVal::ofInt(1));
-  EXPECT_FALSE(A.get(Y).has_value());
-  EXPECT_FALSE(A.joinWith(B)); // already the join: no change
+/// Runs GVN over `Prefix...; r := E` and returns what r's right-hand side
+/// was rewritten to.
+const Expr *gvnFold(AstContext &Ctx, const Expr *E,
+                    std::vector<CfgStmt> Prefix = {}) {
+  CfgBuilder B(Ctx);
+  for (CfgStmt &S : Prefix)
+    B.add(std::move(S), {static_cast<LabelId>(B.Prog.Labels.size() + 1)});
+  LabelId Last = B.add(assignStmt(Ctx.sym("r"), E), {});
+  runGvn(Ctx, B.Prog);
+  return B.Prog.label(Last).Stmt.E;
 }
 
-TEST(ConstEnv, BottomIsJoinIdentity) {
-  AstContext Ctx;
-  Symbol X = Ctx.sym("x");
-  ConstEnv A = ConstEnv::topEnv();
-  A.set(X, ConstVal::ofInt(7));
-
-  ConstEnv B = A;
-  EXPECT_FALSE(B.joinWith(ConstEnv::bottomEnv())); // no change
-  EXPECT_EQ(B.get(X), ConstVal::ofInt(7));
-
-  ConstEnv C = ConstEnv::bottomEnv();
-  EXPECT_TRUE(C.joinWith(A));
-  EXPECT_FALSE(C.isBottom());
-  EXPECT_EQ(C.get(X), ConstVal::ofInt(7));
+bool isIntLit(const Expr *E, int64_t V) {
+  return E->kind() == ExprKind::IntLit && E->intValue() == V;
 }
 
-TEST(EvalConstExpr, FoldsArithmeticAndComparisons) {
+bool isBoolLit(const Expr *E, bool V) {
+  return E->kind() == ExprKind::BoolLit && E->boolValue() == V;
+}
+
+} // namespace
+
+TEST(GvnFolding, FoldsArithmeticAndComparisons) {
   AstContext Ctx;
-  ConstEnv Env = ConstEnv::topEnv();
   Symbol X = Ctx.sym("x");
-  Env.set(X, ConstVal::ofInt(6));
   const Expr *XV = Ctx.tVar(X, Ctx.intType());
-
-  auto Eval = [&](const Expr *E) { return evalConstExpr(E, Env); };
-  EXPECT_EQ(Eval(Ctx.tBinary(BinOp::Add, XV, Ctx.tInt(4))),
-            ConstVal::ofInt(10));
-  EXPECT_EQ(Eval(Ctx.tBinary(BinOp::Mul, XV, Ctx.tInt(-2))),
-            ConstVal::ofInt(-12));
-  EXPECT_EQ(Eval(Ctx.tBinary(BinOp::Lt, XV, Ctx.tInt(7))),
-            ConstVal::ofBool(true));
-  EXPECT_EQ(Eval(Ctx.tUnary(UnOp::Neg, XV)), ConstVal::ofInt(-6));
-  // Euclidean semantics: -7 div 2 = -4, -7 mod 2 = 1.
-  EXPECT_EQ(Eval(Ctx.tBinary(BinOp::Div, Ctx.tInt(-7), Ctx.tInt(2))),
-            ConstVal::ofInt(-4));
-  EXPECT_EQ(Eval(Ctx.tBinary(BinOp::Mod, Ctx.tInt(-7), Ctx.tInt(2))),
-            ConstVal::ofInt(1));
-  EXPECT_EQ(Eval(Ctx.tIte(Ctx.tBinary(BinOp::Eq, XV, Ctx.tInt(6)),
-                          Ctx.tInt(1), Ctx.tInt(2))),
-            ConstVal::ofInt(1));
+  auto Fold = [&](const Expr *E) {
+    return gvnFold(Ctx, E, {assignStmt(X, Ctx.tInt(6))});
+  };
+  EXPECT_TRUE(isIntLit(Fold(Ctx.tBinary(BinOp::Add, XV, Ctx.tInt(4))), 10));
+  EXPECT_TRUE(isIntLit(Fold(Ctx.tBinary(BinOp::Mul, XV, Ctx.tInt(-2))), -12));
+  EXPECT_TRUE(isBoolLit(Fold(Ctx.tBinary(BinOp::Lt, XV, Ctx.tInt(7))), true));
+  EXPECT_TRUE(isIntLit(Fold(Ctx.tUnary(UnOp::Neg, XV)), -6));
+  EXPECT_TRUE(isIntLit(Fold(Ctx.tIte(Ctx.tBinary(BinOp::Eq, XV, Ctx.tInt(6)),
+                                     Ctx.tInt(1), Ctx.tInt(2))),
+                       1));
 }
 
-TEST(EvalConstExpr, RefusesDivByZeroAndOverflow) {
+TEST(GvnFolding, EuclideanDivAndMod) {
+  // SMT-LIB semantics: the remainder is never negative.
+  EXPECT_EQ(euclideanDiv(-7, 2), -4);
+  EXPECT_EQ(euclideanMod(-7, 2), 1);
+  EXPECT_EQ(euclideanDiv(7, -2), -3);
+  EXPECT_EQ(euclideanMod(7, -2), 1);
+  EXPECT_EQ(euclideanDiv(-7, -2), 4);
+  EXPECT_EQ(euclideanMod(-7, -2), 1);
+  // x mod -1 is 0 for every x; the C++ remainder would trap on INT64_MIN.
+  EXPECT_EQ(euclideanMod(INT64_MIN, -1), 0);
+
+  // GVN's literal folding goes through the same folder.
   AstContext Ctx;
-  ConstEnv Env = ConstEnv::topEnv();
+  EXPECT_TRUE(
+      isIntLit(gvnFold(Ctx, Ctx.tBinary(BinOp::Div, Ctx.tInt(-7), Ctx.tInt(2))),
+               -4));
+  EXPECT_TRUE(
+      isIntLit(gvnFold(Ctx, Ctx.tBinary(BinOp::Mod, Ctx.tInt(-7), Ctx.tInt(2))),
+               1));
+  EXPECT_TRUE(isIntLit(
+      gvnFold(Ctx,
+              Ctx.tBinary(BinOp::Mod, Ctx.tInt(INT64_MIN), Ctx.tInt(-1))),
+      0));
+}
+
+TEST(GvnFolding, RefusesDivByZeroAndOverflow) {
+  AstContext Ctx;
   // x div 0 is uninterpreted in SMT; folding it would change verdicts.
-  EXPECT_FALSE(
-      evalConstExpr(Ctx.tBinary(BinOp::Div, Ctx.tInt(5), Ctx.tInt(0)), Env));
-  EXPECT_FALSE(
-      evalConstExpr(Ctx.tBinary(BinOp::Mod, Ctx.tInt(5), Ctx.tInt(0)), Env));
-  EXPECT_FALSE(evalConstExpr(
-      Ctx.tBinary(BinOp::Add, Ctx.tInt(INT64_MAX), Ctx.tInt(1)), Env));
-  EXPECT_FALSE(evalConstExpr(
-      Ctx.tBinary(BinOp::Mul, Ctx.tInt(INT64_MIN), Ctx.tInt(-1)), Env));
+  for (const Expr *E :
+       {Ctx.tBinary(BinOp::Div, Ctx.tInt(5), Ctx.tInt(0)),
+        Ctx.tBinary(BinOp::Mod, Ctx.tInt(5), Ctx.tInt(0)),
+        Ctx.tBinary(BinOp::Div, Ctx.tInt(INT64_MIN), Ctx.tInt(-1)),
+        Ctx.tBinary(BinOp::Add, Ctx.tInt(INT64_MAX), Ctx.tInt(1)),
+        Ctx.tBinary(BinOp::Mul, Ctx.tInt(INT64_MIN), Ctx.tInt(-1))})
+    EXPECT_EQ(gvnFold(Ctx, E), E);
 }
 
-TEST(EvalConstExpr, ShortCircuitsThroughUnknowns) {
+TEST(GvnFolding, ShortCircuitsThroughUnknowns) {
   AstContext Ctx;
-  ConstEnv Env = ConstEnv::topEnv();
   const Expr *Unknown = Ctx.tVar(Ctx.sym("u"), Ctx.boolType());
 
-  EXPECT_EQ(evalConstExpr(Ctx.tBinary(BinOp::And, Ctx.tBool(false), Unknown),
-                          Env),
-            ConstVal::ofBool(false));
-  EXPECT_EQ(
-      evalConstExpr(Ctx.tBinary(BinOp::Or, Unknown, Ctx.tBool(true)), Env),
-      ConstVal::ofBool(true));
-  EXPECT_EQ(evalConstExpr(
-                Ctx.tBinary(BinOp::Implies, Ctx.tBool(false), Unknown), Env),
-            ConstVal::ofBool(true));
-  EXPECT_FALSE(evalConstExpr(
-      Ctx.tBinary(BinOp::And, Ctx.tBool(true), Unknown), Env));
+  EXPECT_TRUE(isBoolLit(
+      gvnFold(Ctx, Ctx.tBinary(BinOp::And, Ctx.tBool(false), Unknown)), false));
+  EXPECT_TRUE(isBoolLit(
+      gvnFold(Ctx, Ctx.tBinary(BinOp::Or, Unknown, Ctx.tBool(true))), true));
+  EXPECT_TRUE(isBoolLit(
+      gvnFold(Ctx, Ctx.tBinary(BinOp::Implies, Ctx.tBool(false), Unknown)),
+      true));
+  const Expr *Kept =
+      gvnFold(Ctx, Ctx.tBinary(BinOp::And, Ctx.tBool(true), Unknown));
+  EXPECT_NE(Kept->kind(), ExprKind::BoolLit);
 }
 
 //===----------------------------------------------------------------------===//
@@ -230,14 +257,14 @@ TEST(DataflowSolver, ForwardJoinAtDiamond) {
   LabelId L3 = B.add(assumeStmt(Ctx.tBool(true)), {});
 
   ProcFlow Flow(B.Prog, 0);
-  FwdConsts A;
-  DataflowSolver<FwdConsts> Solver(Flow, A);
+  FwdLiterals A;
+  DataflowSolver<FwdLiterals> Solver(Flow, A);
   Solver.solve();
 
   EXPECT_FALSE(Solver.pre(L0).get(X).has_value());
-  EXPECT_EQ(Solver.post(L0).get(X), ConstVal::ofInt(1));
+  EXPECT_EQ(Solver.post(L0).get(X), 1);
   // x survives the join; y does not (5 vs 9).
-  EXPECT_EQ(Solver.pre(L3).get(X), ConstVal::ofInt(1));
+  EXPECT_EQ(Solver.pre(L3).get(X), 1);
   EXPECT_FALSE(Solver.pre(L3).get(Y).has_value());
 }
 
@@ -316,6 +343,45 @@ TEST(ProcEffects, TransitiveModAndUse) {
   EXPECT_FALSE(FX[Mid].ModGlobals.count(Ctx.sym("b")));
 }
 
+TEST(Liveness, CallReadsComeFromEffectsOrEveryGlobal) {
+  AstContext Ctx;
+  auto P = parse(R"(
+    var a: int;
+    var b: int;
+    procedure leaf() { a := a + 1; }
+    procedure main() { b := 0; call leaf(); b := 1; }
+  )",
+                 Ctx);
+  // Lowered without assert instrumentation, whose early return after the
+  // call would keep `b` live on its own.
+  CfgProgram Cfg = lowerToCfg(Ctx, *P);
+  ProcId Root = Cfg.findProc(Ctx.sym("main"));
+  Symbol B = Ctx.sym("b");
+  LabelId FirstStore = InvalidLabel;
+  for (LabelId L : Cfg.proc(Root).Labels) {
+    const CfgStmt &S = Cfg.label(L).Stmt;
+    if (S.Kind == CfgStmtKind::Assign && S.Target == B &&
+        S.E->kind() == ExprKind::IntLit && S.E->intValue() == 0)
+      FirstStore = L;
+  }
+  ASSERT_NE(FirstStore, InvalidLabel);
+
+  // With effect summaries, leaf reads only `a`, so `b := 0` is overwritten
+  // unobserved; without them the call may read every global.
+  std::vector<ProcEffects> FX = computeProcEffects(Cfg);
+  ProcFlow Flow(Cfg, Root);
+  Liveness WithFx(Cfg, Root, nullptr, &FX);
+  DataflowSolver<Liveness> S1(Flow, WithFx);
+  S1.solve();
+  EXPECT_FALSE(S1.post(FirstStore).count(B));
+  Liveness NoFx(Cfg, Root);
+  DataflowSolver<Liveness> S2(Flow, NoFx);
+  S2.solve();
+  EXPECT_TRUE(S2.post(FirstStore).count(B));
+  // Globals and returns are live at exit either way.
+  EXPECT_TRUE(NoFx.boundary().count(B));
+}
+
 TEST(Relevance, ClosesOverAssignsAndCalls) {
   AstContext Ctx;
   auto P = parse(R"(
@@ -376,8 +442,9 @@ TEST(Prepass, PrunesAssumeFalseBranches) {
   size_t ProcsBefore = Cfg.Procs.size();
 
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err);
-  // The guarded call is unreachable; `expensive` leaves the call graph.
-  EXPECT_GT(R.PrunedLabels, 0u);
+  // GVN folds the guard to `assume false` and cuts its successors, so the
+  // guarded call is unreachable and `expensive` leaves the call graph.
+  EXPECT_GT(R.ContradictedAssumes, 0u);
   EXPECT_EQ(R.ProcsAfter, ProcsBefore - 1);
   EXPECT_EQ(Cfg.findProc(Ctx.sym("expensive")), InvalidProc);
   EXPECT_EQ(Cfg.proc(Root).Name, Ctx.sym("main"));
@@ -728,6 +795,24 @@ TEST(Lint, FlagsDeadStores) {
   ASSERT_EQ(R.Findings.size(), 1u);
   EXPECT_EQ(R.Findings[0].Check, LintCheck::DeadStore);
   EXPECT_EQ(R.Findings[0].Severity, LintSeverity::Warning);
+}
+
+TEST(Lint, FlagsFaintStoreChains) {
+  // u is never read, so the store to u is dead; t only feeds u, so its store
+  // is dead too (liveness is strong).
+  std::vector<Diag> Diags;
+  LintReport R = lintSource(R"(
+    procedure main() {
+      var t: int;
+      var u: int;
+      t := 1;
+      u := t;
+    }
+  )",
+                            &Diags);
+  EXPECT_EQ(R.DeadStores, 2u);
+  EXPECT_TRUE(anyDiagContains(Diags, "dead store to 't'", 5));
+  EXPECT_TRUE(anyDiagContains(Diags, "dead store to 'u'", 6));
 }
 
 TEST(Lint, GlobalStoresAreNeverDead) {

@@ -4,13 +4,17 @@
 // header comment (`// expect: safe bound=2`). This test parses, round-trips
 // and verifies each file with SI and DI on the paper's Gen_pVC (the oracle)
 // and with DI on the default (passified) pVCs, and checks the expectation —
-// the sample corpus doubles as an end-to-end regression suite.
+// the sample corpus doubles as an end-to-end regression suite. It also checks
+// the default prepass output of each file for blocked labels left wired.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Dataflow.h"
 #include "ast/AstPrinter.h"
+#include "cfg/Lower.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
+#include "transform/Transforms.h"
 
 #include <gtest/gtest.h>
 
@@ -141,6 +145,33 @@ TEST_P(SampleProgram, PrepassPreservesVerdict) {
   EXPECT_EQ(ROn.Result.Outcome, ROff.Result.Outcome)
       << GetParam() << ": prepass changed the verdict";
   EXPECT_LE(ROn.NumLabelsSolved, ROn.NumLabels);
+}
+
+TEST_P(SampleProgram, DefaultPipelineLeavesNoBlockedAssumeWired) {
+  // An `assume false` label never completes, so after the default prepass
+  // it must have no successors: whatever it guarded is cut and swept.
+  std::string Source = readFile(GetParam());
+  std::optional<Expectation> Expect = parseExpectation(Source);
+  ASSERT_TRUE(Expect) << GetParam();
+
+  AstContext Ctx;
+  DiagEngine Diags;
+  auto P = parseAndCheck(Source, Ctx, Diags);
+  ASSERT_TRUE(P) << Diags.str();
+  BoundedInstance Inst =
+      prepareBounded(Ctx, *P, Ctx.sym("main"), Expect->Bound);
+  CfgProgram Cfg = lowerToCfg(Ctx, Inst.Prog);
+  ProcId Root = Cfg.findProc(Inst.Entry);
+  ASSERT_NE(Root, InvalidProc);
+  PrepassReport R = runPrepass(Ctx, Cfg, Root, Inst.ErrVar);
+  ASSERT_TRUE(R.ok());
+  for (const CfgLabel &L : Cfg.Labels) {
+    const Expr *E = L.Stmt.E;
+    if (L.Stmt.Kind == CfgStmtKind::Assume &&
+        E->kind() == ExprKind::BoolLit && !E->boolValue()) {
+      EXPECT_TRUE(L.Targets.empty()) << GetParam() << "\n" << Cfg.str(Ctx);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
