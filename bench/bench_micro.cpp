@@ -7,8 +7,8 @@
 // number of procedures; a disjointness query is O(1) after preprocessing;
 // the incremental compatibility check is cheap enough that "one can invest
 // in more aggressive merging without adding overhead". Plus throughput
-// baselines for pVC generation, term construction, parsing, and the
-// evaluator.
+// baselines for pVC generation, term construction, parsing, the
+// evaluator, and the fixed cost of one incremental solver check.
 //
 //===--------------------------------------------------------------------===//
 
@@ -19,6 +19,8 @@
 #include "core/Engine.h"
 #include "core/Strategies.h"
 #include "parser/Parser.h"
+#include "smt/Z3Solver.h"
+#include "support/Timer.h"
 #include "transform/Transforms.h"
 #include "workload/Chain.h"
 #include "workload/SdvGen.h"
@@ -190,6 +192,27 @@ void BM_Evaluator(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_Evaluator);
+
+/// One trivial incremental check under one assumption literal, the shape of
+/// most of the engine's checks. Arg 1 passes a per-check budget the way the
+/// engine does (the deadline's remaining seconds), Arg 0 passes none. The two
+/// should stay within a small factor of each other: setting the budget
+/// through Z3_solver_set_params cost about 1.7 ms per check, some thirty
+/// times the check itself.
+void BM_Z3CheckTrivial(benchmark::State &State) {
+  AstContext Ctx;
+  TermArena Arena;
+  auto S = createZ3Solver(Arena);
+  TermRef X = Arena.freshConst(Ctx.intType(), "x");
+  TermRef B = Arena.freshConst(Ctx.boolType(), "b");
+  S->assertTerm(Arena.mkImplies(B, Arena.mkLt(X, Arena.intLit(0))));
+  bool Budgeted = State.range(0) != 0;
+  Deadline Budget(3600);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(S->check({B}, Budgeted ? Budget.remaining() : 0));
+  State.SetLabel(Budgeted ? "timeout" : "no timeout");
+}
+BENCHMARK(BM_Z3CheckTrivial)->Arg(0)->Arg(1);
 
 } // namespace
 

@@ -364,6 +364,10 @@ VerifyResult rmt::solveReachability(const AstContext &Ctx,
                                     const CfgProgram &Prog, ProcId Entry,
                                     std::optional<Symbol> ErrGlobal,
                                     const EngineOptions &Opts) {
+  // Construction is the Z3 context, VcContext, the Disj_blk precompute and
+  // the strategy: a fixed cost per verify that the checks do not show.
+  TraceSpan SetupSpan(Opts.Telemetry, "engine.setup");
   Engine E(Ctx, Prog, Entry, ErrGlobal, Opts);
+  SetupSpan.close();
   return E.run();
 }

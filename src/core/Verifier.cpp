@@ -18,6 +18,18 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
   TraceSpan VerifySpan(Opts.Telemetry, "verify",
                        {{"entry", Ctx.name(Entry)}, {"bound", Opts.Bound}});
 
+  // Fail closed: an unknown entry or a lowering that is not hierarchical
+  // would reach the engine as undefined behaviour once release builds drop
+  // the asserts below and in instrumentAsserts.
+  auto Refuse = [&](std::string Why) {
+    Out.Result.Outcome = Verdict::Unknown;
+    Out.Result.Diagnostic = std::move(Why);
+    VerifySpan.note({"verdict", verdictName(Out.Result.Outcome)});
+    return Out;
+  };
+  if (!Prog.findProc(Entry))
+    return Refuse("entry procedure '" + Ctx.name(Entry) + "' not found");
+
   TraceSpan BoundSpan(Opts.Telemetry, "verify.bound");
   BoundedInstance Instance = prepareBounded(Ctx, Prog, Entry, Opts.Bound);
   BoundSpan.close();
@@ -27,12 +39,15 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
   CfgProgram Cfg = lowerToCfg(Ctx, Instance.Prog);
   LowerSpan.note({"labels", Cfg.Labels.size()});
   LowerSpan.close();
-  assert(Cfg.isHierarchical() && "bounding must yield a hierarchical program");
   Out.NumProcs = Cfg.Procs.size();
   Out.NumLabels = Cfg.Labels.size();
+  if (!Cfg.isHierarchical())
+    return Refuse("bounded program is not hierarchical");
 
   ProcId EntryProc = Cfg.findProc(Instance.Entry);
-  assert(EntryProc != InvalidProc && "entry lost during lowering");
+  if (EntryProc == InvalidProc)
+    return Refuse("entry procedure '" + Ctx.name(Entry) +
+                  "' lost during lowering");
 
   Out.NumProcsSolved = Out.NumProcs;
   Out.NumLabelsSolved = Out.NumLabels;

@@ -77,7 +77,8 @@ struct VerifierRunResult {
 
 /// Verifies \p Prog starting at procedure \p Entry. \p Prog must be
 /// resolved/type-checked (parseAndCheck or the typed builder API). \p Ctx
-/// must be the context owning \p Prog's nodes.
+/// must be the context owning \p Prog's nodes. An \p Entry that names no
+/// procedure of \p Prog ends Unknown with VerifyResult::Diagnostic set.
 VerifierRunResult verifyProgram(AstContext &Ctx, const Program &Prog,
                                 Symbol Entry, const VerifierOptions &Opts);
 

@@ -42,7 +42,12 @@ public:
 
   /// Checks satisfiability of the asserted formulas plus \p Assumptions
   /// (boolean literals: constants or their negations). \p TimeoutSeconds
-  /// <= 0 means no timeout. Unknown covers timeouts and resource limits.
+  /// <= 0 means no timeout; a positive budget applies to this check only
+  /// and may be rounded up, never down, so the backend does not give up
+  /// before the caller's deadline. The engine passes its remaining wall
+  /// budget on every check, so setting the budget must be cheap next to a
+  /// small incremental check (the Z3 backend updates one context value).
+  /// Unknown covers timeouts and resource limits.
   virtual SolveResult check(const std::vector<TermRef> &Assumptions,
                             double TimeoutSeconds) = 0;
   SolveResult check() { return check({}, 0); }

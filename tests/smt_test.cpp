@@ -6,6 +6,7 @@
 #include "smt/Term.h"
 #include "smt/Translate.h"
 #include "smt/Z3Solver.h"
+#include "support/Timer.h"
 
 #include <z3.h>
 
@@ -262,6 +263,27 @@ TEST(Z3, DeepTermTranslationIsIterative) {
   EXPECT_EQ(S->modelInt(X), 0);
 }
 
+namespace {
+
+/// Asserts that 7 pigeons fit into 6 holes, over ints: unsat, and a fresh Z3
+/// context needs about 0.25 s to show it (8 into 7 takes seconds, 9 into 8
+/// about a minute), so a budget of a few milliseconds cannot decide it.
+void assertPigeonhole(TermArena &A, AstContext &Ctx, Solver &S) {
+  const int Holes = 6;
+  std::vector<TermRef> Pigeons;
+  for (int I = 0; I <= Holes; ++I) {
+    TermRef P = A.freshConst(Ctx.intType(), "p");
+    S.assertTerm(A.mkLe(A.intLit(0), P));
+    S.assertTerm(A.mkLt(P, A.intLit(Holes)));
+    Pigeons.push_back(P);
+  }
+  for (size_t I = 0; I < Pigeons.size(); ++I)
+    for (size_t J = I + 1; J < Pigeons.size(); ++J)
+      S.assertTerm(A.mkNot(A.mkEq(Pigeons[I], Pigeons[J])));
+}
+
+} // namespace
+
 TEST(Z3, TimeoutParameterDoesNotBreakEasyChecks) {
   // The timeout parameter is plumbed per check; a tiny-but-sufficient
   // budget must still answer easy queries correctly, and a subsequent
@@ -277,6 +299,34 @@ TEST(Z3, TimeoutParameterDoesNotBreakEasyChecks) {
   EXPECT_EQ(S->modelInt(X), 9);
   S->assertTerm(A.mkLt(X, A.intLit(0)));
   EXPECT_EQ(S->check({}, 0), SolveResult::Unsat);
+
+  // A budget lasts one check only: after a 1 ms check gives up on a query
+  // that needs hundreds of times that, a check without a budget decides it.
+  TermArena B;
+  auto Hard = createZ3Solver(B);
+  assertPigeonhole(B, Ctx, *Hard);
+  EXPECT_EQ(Hard->check({}, 0.001), SolveResult::Unknown);
+  EXPECT_EQ(Hard->check({}, 0), SolveResult::Unsat);
+}
+
+TEST(Z3, BudgetedTimeoutLandsAfterDeadline) {
+  // The engine passes its remaining wall budget to every check and reads an
+  // Unknown as a timeout only once its deadline has passed. The budget is
+  // rounded up, so Z3 never gives up while the deadline is still open.
+  AstContext Ctx;
+  for (int Rep = 0; Rep < 20; ++Rep) {
+    TermArena A;
+    auto S = createZ3Solver(A);
+    assertPigeonhole(A, Ctx, *S);
+    // An open scope puts Z3 in incremental mode, as in the engine; there it
+    // returns within about 0.2 ms of its timer, so a budget rounded down
+    // would end the check before the deadline.
+    S->push();
+    Deadline D(0.02);
+    EXPECT_EQ(S->check({}, D.remaining()), SolveResult::Unknown)
+        << "repetition " << Rep;
+    EXPECT_TRUE(D.expired()) << "repetition " << Rep;
+  }
 }
 
 TEST(SmtLib, ScriptsReparseUnderZ3WithSameVerdict) {

@@ -492,6 +492,52 @@ TEST(TraceEndToEnd, VerifyProgramEmitsNestedPipelineSpans) {
   EXPECT_EQ(FrontierSum, R.Result.NumInlined - 1 + R.Result.NumMerged);
 }
 
+TEST(TraceEndToEnd, EngineSetupSpanNestsUnderVerifyBeforeRun) {
+  // Engine construction (Z3 context, VcContext, Disj_blk, strategy) gets its
+  // own span: a direct child of verify that closes before engine.run opens.
+  AstContext Ctx;
+  DiagEngine Diags;
+  std::optional<Program> Prog = parseAndCheck(PipelineSource, Ctx, Diags);
+  ASSERT_TRUE(Prog) << Diags.str();
+
+  Trace T;
+  T.setEnabled(true);
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.Engine.TimeoutSeconds = 60;
+  Opts.Telemetry = &T;
+  VerifierRunResult R = verifyProgram(Ctx, *Prog, Ctx.sym("main"), Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
+
+  std::vector<std::string> Stack;
+  int SetupBegins = 0, SetupEnds = 0, RunBegins = 0;
+  for (size_t I = 0; I < T.numEvents(); ++I) {
+    const TraceEvent &E = T.event(I);
+    if (E.Ph == TraceEvent::Phase::Begin) {
+      if (E.Name == "engine.setup") {
+        ++SetupBegins;
+        EXPECT_EQ(Stack, std::vector<std::string>{"verify"});
+        EXPECT_EQ(RunBegins, 0) << "engine.setup must precede engine.run";
+      }
+      if (E.Name == "engine.run") {
+        ++RunBegins;
+        EXPECT_EQ(SetupEnds, 1) << "engine.setup must close first";
+      }
+      Stack.push_back(E.Name);
+    } else if (E.Ph == TraceEvent::Phase::End) {
+      ASSERT_FALSE(Stack.empty());
+      if (Stack.back() == "engine.setup")
+        ++SetupEnds;
+      Stack.pop_back();
+    }
+  }
+  EXPECT_TRUE(Stack.empty());
+  EXPECT_EQ(SetupBegins, 1);
+  EXPECT_EQ(SetupEnds, 1);
+  EXPECT_EQ(RunBegins, 1);
+  EXPECT_EQ(T.spanAggregates().count("engine.setup"), 1u);
+}
+
 TEST(TraceEndToEnd, DisabledTraceRecordsNothingOnRealRun) {
   AstContext Ctx;
   DiagEngine Diags;

@@ -34,6 +34,32 @@ const char *DeepBugSrc = R"(
 } // namespace
 
 //===----------------------------------------------------------------------===//
+// Failing closed
+//===----------------------------------------------------------------------===//
+
+TEST(VerifyProgram, UnknownEntryFailsClosed) {
+  // The parser front end only ever names a declared entry; through the C++
+  // API any symbol can arrive. Release builds compile the bounding assert
+  // out, so the verifier must refuse before bounding, not hand the engine an
+  // invalid procedure.
+  AstContext Ctx;
+  auto P = parseOk(DeepBugSrc, Ctx);
+  ASSERT_TRUE(P);
+  VerifierOptions Opts;
+  Opts.Engine.TimeoutSeconds = 30;
+  VerifierRunResult R = verifyProgram(Ctx, *P, Ctx.sym("no_such_proc"), Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Unknown);
+  EXPECT_NE(R.Result.Diagnostic.find("no_such_proc"), std::string::npos)
+      << R.Result.Diagnostic;
+  EXPECT_EQ(R.Result.NumSolverChecks, 0u);
+
+  // The same program with its real entry still finds the bug.
+  Opts.Bound = 8;
+  EXPECT_EQ(verifyProgram(Ctx, *P, Ctx.sym("main"), Opts).Result.Outcome,
+            Verdict::Bug);
+}
+
+//===----------------------------------------------------------------------===//
 // Iterative deepening
 //===----------------------------------------------------------------------===//
 
