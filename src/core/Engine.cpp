@@ -58,7 +58,7 @@ public:
                       {{"entry", Ctx.name(Prog.proc(Entry).Name)},
                        {"mode", Opts.Eager ? "eager" : "stratified"},
                        {"strategy", strategyName(Opts.Strategy.Kind)}});
-    NodeId Root = Vc.genPvc(Entry);
+    NodeId Root = genPvc(Entry);
     Checker.onNewNode(Root);
     Strategy->noteNewNode(Root, InvalidEdge);
 
@@ -90,6 +90,17 @@ private:
     fail("error global '" + Ctx.name(*ErrGlobal) +
          "' is not a program global");
     return false;
+  }
+
+  /// Gen_pVC(\p Q) under a vc.gen_pvc span. Each clause goes straight to the
+  /// solver as it is made, so the span also covers its translation and
+  /// assertion.
+  NodeId genPvc(ProcId Q) {
+    TraceSpan Span(Opts.Telemetry, "vc.gen_pvc",
+                   {{"proc", Ctx.name(Prog.proc(Q).Name)}});
+    NodeId N = Vc.genPvc(Q);
+    Span.note({"clauses", Vc.node(N).Clauses.size()});
+    return N;
   }
 
   /// Fails closed on a broken engine invariant: the run ends Unknown with
@@ -148,7 +159,7 @@ private:
       N = *Picked;
       ++Result.NumMerged;
     } else {
-      N = Vc.genPvc(Vc.edge(C).Callee);
+      N = genPvc(Vc.edge(C).Callee);
       Checker.onNewNode(N);
       Strategy->noteNewNode(N, C);
     }
@@ -367,7 +378,12 @@ VerifyResult rmt::solveReachability(const AstContext &Ctx,
   // Construction is the Z3 context, VcContext, the Disj_blk precompute and
   // the strategy: a fixed cost per verify that the checks do not show.
   TraceSpan SetupSpan(Opts.Telemetry, "engine.setup");
-  Engine E(Ctx, Prog, Entry, ErrGlobal, Opts);
+  std::optional<Engine> E(std::in_place, Ctx, Prog, Entry, ErrGlobal, Opts);
   SetupSpan.close();
-  return E.run();
+  VerifyResult R = E->run();
+  // Destruction frees the Z3 context, the term arena and the VC: a fixed
+  // cost per verify like construction, paid after the verdict is known.
+  TraceSpan TeardownSpan(Opts.Telemetry, "engine.teardown");
+  E.reset();
+  return R;
 }

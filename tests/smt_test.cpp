@@ -309,6 +309,26 @@ TEST(Z3, TimeoutParameterDoesNotBreakEasyChecks) {
   EXPECT_EQ(Hard->check({}, 0), SolveResult::Unsat);
 }
 
+TEST(Z3, FirstAssumptionFreeCheckStaysIncremental) {
+  // A fresh solver's first check with no scope and no assumptions is the one
+  // Z3's combined solver (Z3_mk_solver) ran on its non-incremental tactic
+  // solver. The engine's solver is the plain incremental core, which takes
+  // this check too: a spent budget reads Unknown, an unlimited check then
+  // decides the query, and the solver keeps taking assertions and
+  // assumption checks afterwards.
+  AstContext Ctx;
+  TermArena A;
+  auto S = createZ3Solver(A);
+  assertPigeonhole(A, Ctx, *S);
+  EXPECT_EQ(S->check({}, 0.001), SolveResult::Unknown);
+  EXPECT_EQ(S->check({}, 0), SolveResult::Unsat);
+
+  TermRef X = A.freshConst(Ctx.intType(), "x");
+  TermRef B = A.freshConst(Ctx.boolType(), "b");
+  S->assertTerm(A.mkImplies(B, A.mkEq(X, A.intLit(3))));
+  EXPECT_EQ(S->check({B}, 5.0), SolveResult::Unsat);
+}
+
 TEST(Z3, BudgetedTimeoutLandsAfterDeadline) {
   // The engine passes its remaining wall budget to every check and reads an
   // Unknown as a timeout only once its deadline has passed. The budget is
@@ -318,9 +338,9 @@ TEST(Z3, BudgetedTimeoutLandsAfterDeadline) {
     TermArena A;
     auto S = createZ3Solver(A);
     assertPigeonhole(A, Ctx, *S);
-    // An open scope puts Z3 in incremental mode, as in the engine; there it
-    // returns within about 0.2 ms of its timer, so a budget rounded down
-    // would end the check before the deadline.
+    // Z3's incremental core returns within about 0.2 ms of its timer, with
+    // or without this open scope, so a budget rounded down would end the
+    // check before the deadline.
     S->push();
     Deadline D(0.02);
     EXPECT_EQ(S->check({}, D.remaining()), SolveResult::Unknown)

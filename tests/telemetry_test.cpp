@@ -538,6 +538,102 @@ TEST(TraceEndToEnd, EngineSetupSpanNestsUnderVerifyBeforeRun) {
   EXPECT_EQ(T.spanAggregates().count("engine.setup"), 1u);
 }
 
+TEST(TraceEndToEnd, EngineTeardownSpanNestsUnderVerifyAfterRun) {
+  // Engine destruction (Z3 context, arena, VC) gets its own span: a direct
+  // child of verify that opens only after engine.run has closed.
+  AstContext Ctx;
+  DiagEngine Diags;
+  std::optional<Program> Prog = parseAndCheck(PipelineSource, Ctx, Diags);
+  ASSERT_TRUE(Prog) << Diags.str();
+
+  Trace T;
+  T.setEnabled(true);
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.Engine.TimeoutSeconds = 60;
+  Opts.Telemetry = &T;
+  VerifierRunResult R = verifyProgram(Ctx, *Prog, Ctx.sym("main"), Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
+
+  std::vector<std::string> Stack;
+  int TeardownBegins = 0, TeardownEnds = 0, RunEnds = 0, VerifyEnds = 0;
+  for (size_t I = 0; I < T.numEvents(); ++I) {
+    const TraceEvent &E = T.event(I);
+    if (E.Ph == TraceEvent::Phase::Begin) {
+      if (E.Name == "engine.teardown") {
+        ++TeardownBegins;
+        EXPECT_EQ(Stack, std::vector<std::string>{"verify"});
+        EXPECT_EQ(RunEnds, 1) << "engine.run must close first";
+      }
+      Stack.push_back(E.Name);
+    } else if (E.Ph == TraceEvent::Phase::End) {
+      ASSERT_FALSE(Stack.empty());
+      if (Stack.back() == "engine.teardown")
+        ++TeardownEnds;
+      if (Stack.back() == "engine.run")
+        ++RunEnds;
+      if (Stack.back() == "verify") {
+        ++VerifyEnds;
+        EXPECT_EQ(TeardownEnds, 1) << "engine.teardown must close in verify";
+      }
+      Stack.pop_back();
+    }
+  }
+  EXPECT_TRUE(Stack.empty());
+  EXPECT_EQ(TeardownBegins, 1);
+  EXPECT_EQ(TeardownEnds, 1);
+  EXPECT_EQ(VerifyEnds, 1);
+  EXPECT_EQ(T.spanAggregates().count("engine.teardown"), 1u);
+}
+
+TEST(TraceEndToEnd, GenPvcSpanPerInlinedNode) {
+  // Every Gen_pVC the engine runs gets a vc.gen_pvc span inside engine.run,
+  // named by its procedure and closed with the count of clauses it asserted.
+  AstContext Ctx;
+  DiagEngine Diags;
+  std::optional<Program> Prog = parseAndCheck(PipelineSource, Ctx, Diags);
+  ASSERT_TRUE(Prog) << Diags.str();
+
+  Trace T;
+  T.setEnabled(true);
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.Engine.TimeoutSeconds = 60;
+  Opts.Telemetry = &T;
+  VerifierRunResult R = verifyProgram(Ctx, *Prog, Ctx.sym("main"), Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
+
+  std::vector<std::string> Stack;
+  size_t Begins = 0, Ends = 0;
+  bool RootIsMain = false;
+  for (size_t I = 0; I < T.numEvents(); ++I) {
+    const TraceEvent &E = T.event(I);
+    if (E.Ph == TraceEvent::Phase::Begin) {
+      if (E.Name == "vc.gen_pvc") {
+        EXPECT_NE(std::find(Stack.begin(), Stack.end(), "engine.run"),
+                  Stack.end());
+        ASSERT_EQ(E.Args.size(), 1u);
+        EXPECT_EQ(E.Args[0].Key, "proc");
+        if (Begins++ == 0)
+          RootIsMain = E.Args[0].Str == "main";
+      }
+      Stack.push_back(E.Name);
+    } else if (E.Ph == TraceEvent::Phase::End) {
+      ASSERT_FALSE(Stack.empty());
+      if (Stack.back() == "vc.gen_pvc") {
+        ++Ends;
+        ASSERT_EQ(E.Args.size(), 1u);
+        EXPECT_EQ(E.Args[0].Key, "clauses");
+        EXPECT_GT(E.Args[0].Int, 0);
+      }
+      Stack.pop_back();
+    }
+  }
+  EXPECT_TRUE(RootIsMain);
+  EXPECT_EQ(Begins, R.Result.NumInlined);
+  EXPECT_EQ(Ends, R.Result.NumInlined);
+}
+
 TEST(TraceEndToEnd, DisabledTraceRecordsNothingOnRealRun) {
   AstContext Ctx;
   DiagEngine Diags;
