@@ -6,14 +6,16 @@
 //
 //   off  — no prepass at all;
 //   base — the structural reductions alone (slice,splice,deadproc);
-//   full — the default pipeline, which adds GVN/copy-propagation and
-//          assume-redundancy elimination (gvn,assumeelim,slice,...).
+//   full — the default pipeline, which adds GVN/copy-propagation in front
+//          (gvn,slice,splice,deadproc).
 //
 // For each configuration we report the program size the engine sees and the
 // size of the fully inlined VC (hash-consed term count); end-to-end DI verify
-// time is measured for off vs full. The base→full delta isolates what the
-// value-numbering passes buy on top of the established reductions. Knobs:
-// RMT_BENCH_TIMEOUT, RMT_BENCH_COUNT (see BenchCommon.h).
+// time is measured for off vs full. The base→full delta isolates what value
+// numbering buys on top of the established reductions. Exits 1 when two
+// configurations disagree on a verdict or the VC terms do not shrink
+// off ≥ base ≥ full. Knobs: RMT_BENCH_TIMEOUT, RMT_BENCH_COUNT (see
+// BenchCommon.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +36,7 @@ using namespace rmt::bench;
 
 namespace {
 
-/// The reduction pipeline without the value-numbering passes.
+/// The reduction pipeline without value numbering.
 const char *BaselinePasses = "slice,splice,deadproc";
 
 struct VcSize {
@@ -128,7 +130,7 @@ int main() {
 
   std::printf("Prepass ablation — %u SDV-like instances, DI (First), "
               "bound 1, timeout %.0fs\n"
-              "base = %s\nfull = default pipeline (adds gvn,assumeelim)\n\n",
+              "base = %s\nfull = default pipeline (adds gvn)\n\n",
               Count, Timeout, BaselinePasses);
 
   Table T({"Instance", "Terms off", "Terms base", "Terms full", "Labels full",

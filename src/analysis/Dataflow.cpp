@@ -351,7 +351,6 @@ void PrepassReport::record(Stats &S) const {
   S.add("prepass.calls.elided", ElidedCalls);
   S.add("prepass.procs.dead", DeadProcs);
   S.add("prepass.exprs.propagated", PropagatedExprs);
-  S.add("prepass.assumes.redundant", RedundantAssumes);
   S.add("prepass.assumes.contradicted", ContradictedAssumes);
   S.add("prepass.inv.conjuncts", InvariantConjuncts);
   S.add("prepass.audit.deadstores", AuditDeadStores);
@@ -366,9 +365,8 @@ std::string PrepassReport::str() const {
          std::to_string(ProcsAfter);
   Out += " (sliced " + std::to_string(SlicedStmts) + ", spliced " +
          std::to_string(SplicedLabels) + ", propagated " +
-         std::to_string(PropagatedExprs) + ", redundant assumes " +
-         std::to_string(RedundantAssumes + ContradictedAssumes) +
-         ", elided calls " + std::to_string(ElidedCalls) + ", dead procs " +
+         std::to_string(PropagatedExprs) + ", contradicted assumes " +
+         std::to_string(ContradictedAssumes) + ", elided calls " + std::to_string(ElidedCalls) + ", dead procs " +
          std::to_string(DeadProcs) + ")";
   if (AuditDeadStores + AuditUnreachableLabels != 0)
     Out += " [lint audit: " + std::to_string(AuditDeadStores) +

@@ -33,8 +33,8 @@
 /// shares: variable collection, the call-graph effect summaries, and the one
 /// backward liveness analysis (Liveness) that the slicer, the lint-audit pass
 /// and the AST-level lint all instantiate. The verification prepass itself —
-/// GVN, assume elimination, slicing, skip splicing and dead-procedure
-/// elimination, composed by runPrepass() — is declared at the end.
+/// GVN, slicing, skip splicing and dead-procedure elimination, composed by
+/// runPrepass() — is declared at the end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +49,8 @@
 #include <deque>
 #include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -239,29 +241,15 @@ private:
 // The verification prepass
 //===----------------------------------------------------------------------===//
 
-/// Pass toggles (all on by default) plus pipeline-level knobs. The toggles
-/// select passes of the default pipeline order
-///
-///   gvn → assumeelim → slice → splice → deadproc [→ inv]
-///
-/// while a nonempty Passes string replaces the toggles with an explicit
-/// pipeline (see PassManager.h).
+/// The pipeline run when PrepassOptions::Passes is empty: value numbering,
+/// then the structural reductions (PassManager.h lists the passes).
+inline constexpr std::string_view DefaultPrepassPasses =
+    "gvn,slice,splice,deadproc";
+
+/// Which passes run, plus pipeline-level knobs.
 struct PrepassOptions {
-  /// Value numbering + copy/expression propagation (Gvn.h).
-  bool Gvn = true;
-  /// Drop assumes entailed by value-numbered facts on all paths (Gvn.h).
-  bool AssumeElim = true;
-  /// Cone-of-influence slicing from the reachability query (Slicer.h).
-  bool Slice = true;
-  /// Splice out `assume true` skip labels.
-  bool SpliceSkips = true;
-  /// Drop procedures unreachable from the root in the call graph.
-  bool DeadProcElim = true;
-  /// Append interval-invariant injection (the paper's +Inv) last. Off by
-  /// default; the verifier sets it from VerifierOptions::UseInvariants.
-  bool Invariants = false;
-  /// Explicit pipeline, e.g. "gvn,slice,splice". Overrides every toggle
-  /// above when nonempty.
+  /// Comma-separated pass list, e.g. "gvn,slice,splice" (PassManager.h).
+  /// Empty runs DefaultPrepassPasses.
   std::string Passes;
   /// Run the structural CFG verifier (VerifyCfg.h) on the input and after
   /// every pass; any violation aborts the pipeline. Also enabled by the
@@ -288,10 +276,7 @@ struct PrepassReport {
   unsigned DeadProcs = 0;
   /// Subexpressions replaced by a congruent leader (GVN copy propagation).
   unsigned PropagatedExprs = 0;
-  /// `assume e` labels proven entailed and reduced to skips.
-  unsigned RedundantAssumes = 0;
-  /// `assume e` labels proven contradictory and sharpened to assume false,
-  /// plus assumes GVN folded to false; either way their successors are cut.
+  /// `assume e` labels GVN folded to assume false; their successors are cut.
   unsigned ContradictedAssumes = 0;
   /// Invariant conjuncts injected by the inv pass (0 without +Inv).
   unsigned InvariantConjuncts = 0;
@@ -329,12 +314,12 @@ unsigned dropDeadProcs(CfgProgram &Prog, ProcId &Root);
 unsigned spliceSkips(CfgProgram &Prog);
 
 /// Runs the prepass pipeline on \p Prog rooted at \p Root. The pipeline is
-/// assembled from \p Opts (see PrepassOptions; the default is
+/// Opts.Passes, or DefaultPrepassPasses when that is empty:
 ///
-///   GVN/copy propagation  →  assume-redundancy elimination
-///   →  query slicing  →  skip splicing  →  dead-procedure elimination)
+///   GVN/copy propagation  →  query slicing  →  skip splicing
+///   →  dead-procedure elimination
 ///
-/// and executed through the pass manager (PassManager.h), which times each
+/// It is executed through the pass manager (PassManager.h), which times each
 /// pass into \p S (when given) and re-verifies the structural invariants
 /// after each pass when Opts.VerifyEach is set.
 ///

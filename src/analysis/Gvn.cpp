@@ -521,10 +521,6 @@ public:
     return addFact(Positive ? V : VT.makeUnary(UnOp::Not, V, E->type()), Env);
   }
 
-  /// True when \p V is entailed on every path described by \p Env.
-  bool entailed(VN V, const GvnEnv &Env) const {
-    return V == VNTrue || Env.TrueVNs.count(V) != 0;
-  }
   /// True when \p V is refuted on every path described by \p Env.
   bool refuted(VN V, GvnEnv &Env) {
     if (V == VNFalse)
@@ -753,12 +749,9 @@ private:
   unsigned NumReplaced = 0;
 };
 
-//===----------------------------------------------------------------------===//
-// Drivers
-//===----------------------------------------------------------------------===//
+} // namespace
 
-GvnReport runGvnImpl(AstContext &Ctx, CfgProgram &Prog, bool Propagate,
-                     bool ElimAssumes) {
+GvnReport rmt::runGvn(AstContext &Ctx, CfgProgram &Prog) {
   GvnReport R;
   std::vector<ProcEffects> FX = computeProcEffects(Prog);
 
@@ -774,75 +767,27 @@ GvnReport runGvnImpl(AstContext &Ctx, CfgProgram &Prog, bool Propagate,
       if (Solver.pre(L).Bottom)
         continue; // no execution reaches L: nothing to rewrite
       CfgStmt &S = Prog.Labels[L].Stmt;
+      if (S.Kind == CfgStmtKind::Havoc)
+        continue;
       // The solved states describe the original program; rewriting against
       // them stays valid because every rewrite preserves each statement's
       // value semantics.
-      GvnEnv Env = Solver.pre(L);
-      Numberer N(VT, Proc);
-      switch (S.Kind) {
-      case CfgStmtKind::Assume: {
-        if (ElimAssumes && !isLiteralExpr(S.E)) {
-          VN V = N.vnOf(S.E, Env, L);
-          if (N.refuted(V, Env)) {
-            // False on every path in: no execution passes this assume, so
-            // blocking here (and cutting the dead region) changes nothing.
-            S.E = Ctx.tBool(false);
-            Prog.Labels[L].Targets.clear();
-            ++R.ContradictedAssumes;
-            break;
-          }
-          if (N.entailed(V, Env)) {
-            // Entailed by facts that hold on every path in: the assume
-            // filters nothing. Reduce to a skip for the splicer.
-            S.E = Ctx.tBool(true);
-            ++R.RedundantAssumes;
-            break;
-          }
-        }
-        if (Propagate) {
-          Rewriter RW(Ctx, VT, Proc, Solver.pre(L));
-          S.E = RW.rewrite(S.E, L);
-          R.PropagatedExprs += RW.replaced();
-          // A blocked label never completes, so its out-edges are dead; the
-          // splicer sweeps the region this cuts off.
-          if (isFalseLiteral(S.E) && !Prog.Labels[L].Targets.empty()) {
-            Prog.Labels[L].Targets.clear();
-            ++R.ContradictedAssumes;
-          }
-        }
-        break;
+      Rewriter RW(Ctx, VT, Proc, Solver.pre(L));
+      if (S.Kind == CfgStmtKind::Call) {
+        for (const Expr *&Arg : S.Args)
+          Arg = RW.rewrite(Arg, L);
+      } else {
+        S.E = RW.rewrite(S.E, L);
       }
-      case CfgStmtKind::Assign: {
-        if (Propagate) {
-          Rewriter RW(Ctx, VT, Proc, Solver.pre(L));
-          S.E = RW.rewrite(S.E, L);
-          R.PropagatedExprs += RW.replaced();
-        }
-        break;
-      }
-      case CfgStmtKind::Call: {
-        if (Propagate) {
-          Rewriter RW(Ctx, VT, Proc, Solver.pre(L));
-          for (const Expr *&Arg : S.Args)
-            Arg = RW.rewrite(Arg, L);
-          R.PropagatedExprs += RW.replaced();
-        }
-        break;
-      }
-      case CfgStmtKind::Havoc:
-        break;
+      R.PropagatedExprs += RW.replaced();
+      // A blocked label never completes, so its out-edges are dead; the
+      // splicer sweeps the region this cuts off.
+      if (S.Kind == CfgStmtKind::Assume && isFalseLiteral(S.E) &&
+          !Prog.Labels[L].Targets.empty()) {
+        Prog.Labels[L].Targets.clear();
+        ++R.ContradictedAssumes;
       }
     }
   }
   return R;
-}
-
-} // namespace
-
-GvnReport rmt::runGvn(AstContext &Ctx, CfgProgram &Prog) {
-  return runGvnImpl(Ctx, Prog, /*Propagate=*/true, /*ElimAssumes=*/false);
-}
-
-GvnReport rmt::runAssumeElim(AstContext &Ctx, CfgProgram &Prog) {
-  return runGvnImpl(Ctx, Prog, /*Propagate=*/false, /*ElimAssumes=*/true);
 }

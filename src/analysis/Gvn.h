@@ -1,12 +1,11 @@
-//===- Gvn.h - Value numbering, copy propagation, assume elim ---*- C++ -*-===//
+//===- Gvn.h - Value numbering and copy propagation ------------*- C++ -*-===//
 //
 // Part of the daginline project, a reproduction of "DAG Inlining" (PLDI'15).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Global value numbering with copy propagation, plus assume-redundancy
-/// elimination, over the paper's label form.
+/// Global value numbering with copy propagation over the paper's label form.
 ///
 /// The analysis is a forward MUST dataflow: the abstract state at a label
 /// maps each in-scope variable to a value number, and carries the set of
@@ -27,23 +26,17 @@
 /// *current* variable binding map, so a redefinition of `y` automatically
 /// retires `y` as a leader without any renaming machinery.
 ///
-/// Two rewrites consume the solution:
+/// Copy/expression propagation consumes the solution: every statement's
+/// expressions are rewritten bottom-up, replacing any subexpression whose
+/// value number has a cheaper leader (a literal, else the smallest in-scope
+/// variable bound to that number), which collapses `y := x; z := y + 1`
+/// chains and shrinks Gen_pVC term counts directly. An assume that folds to
+/// `assume false` loses its successors, letting the slicer and splicer
+/// reclaim the dead region.
 ///
-///  * copy/expression propagation — every statement's expressions are
-///    rewritten bottom-up, replacing any subexpression whose value number has
-///    a cheaper leader (a literal, else the smallest in-scope variable bound
-///    to that number), which collapses `y := x; z := y + 1` chains and
-///    shrinks Gen_pVC term counts directly; an assume that folds to
-///    `assume false` loses its successors, as in the elimination below;
-///  * assume-redundancy elimination — `assume e` where vn(e) is entailed
-///    true on all incoming paths becomes a skip (to be spliced), and
-///    `assume e` where vn(e) is entailed false is sharpened to
-///    `assume false` with its successors cut, letting the slicer and splicer
-///    reclaim the dead region.
-///
-/// Both rewrites are verdict-preserving: they replace expressions with
-/// provably-equal values and drop assumes that are implied by (or contradict)
-/// the path condition, so the set of feasible $err-executions is unchanged.
+/// The rewrite is verdict-preserving: it replaces expressions with
+/// provably-equal values, and only cuts the successors of an assume no
+/// execution passes, so the set of feasible $err-executions is unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,14 +54,10 @@ namespace rmt {
 struct GvnReport {
   /// Subexpressions replaced by a congruent leader (literal or variable).
   unsigned PropagatedExprs = 0;
-  /// `assume e` labels proven entailed and reduced to skips.
-  unsigned RedundantAssumes = 0;
-  /// `assume e` labels proven contradictory and sharpened to assume false.
+  /// `assume e` labels that folded to assume false and lost their successors.
   unsigned ContradictedAssumes = 0;
 
-  unsigned total() const {
-    return PropagatedExprs + RedundantAssumes + ContradictedAssumes;
-  }
+  unsigned total() const { return PropagatedExprs + ContradictedAssumes; }
 };
 
 /// Runs value numbering + copy propagation over every procedure of \p Prog,
@@ -76,11 +65,6 @@ struct GvnReport {
 /// for cutting successors of assumes that fold to false (counted in
 /// ContradictedAssumes).
 GvnReport runGvn(AstContext &Ctx, CfgProgram &Prog);
-
-/// Runs only the assume-redundancy elimination (entailment via the same value
-/// numbering, but without rewriting non-assume statements). Exposed as its
-/// own pass so pipelines can order propagation and elimination independently.
-GvnReport runAssumeElim(AstContext &Ctx, CfgProgram &Prog);
 
 } // namespace rmt
 

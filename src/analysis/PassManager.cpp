@@ -33,20 +33,6 @@ public:
   }
 };
 
-class AssumeElimPass : public Pass {
-public:
-  std::string_view name() const override { return "assumeelim"; }
-  std::string_view description() const override {
-    return "drop assumes entailed by value-numbered facts on all paths";
-  }
-  bool run(PassContext &PC) override {
-    GvnReport R = runAssumeElim(PC.Ctx, PC.Prog);
-    PC.Report.RedundantAssumes += R.RedundantAssumes;
-    PC.Report.ContradictedAssumes += R.ContradictedAssumes;
-    return R.total() != 0;
-  }
-};
-
 class SlicePass : public Pass {
 public:
   std::string_view name() const override { return "slice"; }
@@ -162,9 +148,7 @@ template <typename P> std::unique_ptr<Pass> make() {
 PassRegistry &PassRegistry::instance() {
   static PassRegistry R = [] {
     PassRegistry Reg;
-    // Registration order defines the default pipeline order.
     Reg.registerPass("gvn", make<GvnPass>);
-    Reg.registerPass("assumeelim", make<AssumeElimPass>);
     Reg.registerPass("slice", make<SlicePass>);
     Reg.registerPass("splice", make<SplicePass>);
     Reg.registerPass("deadproc", make<DeadProcPass>);
@@ -244,23 +228,8 @@ std::optional<PassPipeline> PassPipeline::parse(std::string_view Spec,
   return PL;
 }
 
-PassPipeline PassPipeline::fromOptions(const PrepassOptions &Opts) {
-  PassPipeline PL;
-  auto Add = [&](bool On, const char *Name) {
-    if (On)
-      PL.append(PassRegistry::instance().create(Name));
-  };
-  Add(Opts.Gvn, "gvn");
-  Add(Opts.AssumeElim, "assumeelim");
-  Add(Opts.Slice, "slice");
-  Add(Opts.SpliceSkips, "splice");
-  Add(Opts.DeadProcElim, "deadproc");
-  Add(Opts.Invariants, "inv");
-  return PL;
-}
-
 std::vector<std::string> PassPipeline::run(PassContext &PC,
-                                           const PipelineOptions &Opts,
+                                           const PrepassOptions &Opts,
                                            Stats *S) const {
   auto Verify = [&](std::string_view After) {
     std::vector<std::string> Bad =
@@ -270,7 +239,9 @@ std::vector<std::string> PassPipeline::run(PassContext &PC,
     return Bad;
   };
 
-  if (Opts.VerifyEach)
+  bool VerifyEach =
+      Opts.VerifyEach || std::getenv("RMT_VERIFY_EACH") != nullptr;
+  if (VerifyEach)
     if (std::vector<std::string> Bad = Verify("pipeline input"); !Bad.empty())
       return Bad;
 
@@ -290,7 +261,7 @@ std::vector<std::string> PassPipeline::run(PassContext &PC,
     if (Opts.PrintAfterAll && Changed)
       std::fprintf(stderr, "*** IR after pass '%s' ***\n%s\n", Name.c_str(),
                    PC.Prog.str(PC.Ctx).c_str());
-    if (Opts.VerifyEach)
+    if (VerifyEach)
       if (std::vector<std::string> Bad = Verify("pass '" + Name + "'");
           !Bad.empty())
         return Bad;
@@ -309,31 +280,20 @@ PrepassReport rmt::runPrepass(AstContext &Ctx, CfgProgram &Prog, ProcId &Root,
   R.LabelsBefore = Prog.Labels.size();
   R.ProcsBefore = Prog.Procs.size();
 
-  PassPipeline PL;
-  if (!Opts.Passes.empty()) {
-    std::string Error;
-    std::optional<PassPipeline> Parsed = PassPipeline::parse(Opts.Passes,
-                                                             &Error);
-    if (!Parsed) {
-      R.PipelineErrors.push_back(Error);
-      R.LabelsAfter = R.LabelsBefore;
-      R.ProcsAfter = R.ProcsBefore;
-      return R;
-    }
-    PL = std::move(*Parsed);
-  } else {
-    PL = PassPipeline::fromOptions(Opts);
+  std::string Error;
+  std::optional<PassPipeline> PL = PassPipeline::parse(
+      Opts.Passes.empty() ? DefaultPrepassPasses : Opts.Passes, &Error);
+  if (!PL) {
+    R.PipelineErrors.push_back(Error);
+    R.LabelsAfter = R.LabelsBefore;
+    R.ProcsAfter = R.ProcsBefore;
+    return R;
   }
 
-  PipelineOptions PO;
-  PO.VerifyEach = Opts.VerifyEach || std::getenv("RMT_VERIFY_EACH") != nullptr;
-  PO.PrintAfterAll = Opts.PrintAfterAll;
-  PO.Telemetry = Opts.Telemetry;
-
-  TraceSpan Span(PO.Telemetry, "prepass.pipeline",
-                 {{"passes", PL.str()}, {"labels", R.LabelsBefore}});
+  TraceSpan Span(Opts.Telemetry, "prepass.pipeline",
+                 {{"passes", PL->str()}, {"labels", R.LabelsBefore}});
   PassContext PC{Ctx, Prog, Root, ErrGlobal, R};
-  R.PipelineErrors = PL.run(PC, PO, S);
+  R.PipelineErrors = PL->run(PC, Opts, S);
   Span.note({"labels_after", Prog.Labels.size()});
   Span.close();
 

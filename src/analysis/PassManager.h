@@ -13,11 +13,11 @@
 /// (`--verify-each`, see VerifyCfg.h) — the discipline LLVM's pass manager
 /// and Boogie's `/trace` stack apply to their own IRs.
 ///
-/// Builtin passes (registration order is the default pipeline order):
+/// Builtin passes (the default pipeline is DefaultPrepassPasses in
+/// Dataflow.h, `gvn,slice,splice,deadproc`):
 ///
 ///   gvn        — value numbering + copy/expression propagation, literal
 ///                folding, and cutting assumes that fold to false (Gvn.h)
-///   assumeelim — drop assumes entailed by value-numbered facts (Gvn.h)
 ///   slice      — cone-of-influence query slicing (Slicer.h)
 ///   splice     — splice `assume true` skip labels out of the flow graph
 ///   deadproc   — drop procedures unreachable from the root
@@ -98,18 +98,6 @@ private:
   std::vector<std::pair<std::string, Factory>> Factories;
 };
 
-/// Pipeline-wide execution knobs.
-struct PipelineOptions {
-  /// Run verifyCfg on the input and after every pass; a violation aborts the
-  /// pipeline with the offending pass named in the diagnostics.
-  bool VerifyEach = false;
-  /// Dump the program to stderr after every pass that changed it.
-  bool PrintAfterAll = false;
-  /// Optional event recorder: each pass runs under a "pass.<name>" span so
-  /// pipeline time and solver time land on one timeline (support/Trace.h).
-  Trace *Telemetry = nullptr;
-};
-
 /// An ordered list of passes plus the runner. Move-only (owns the passes).
 class PassPipeline {
 public:
@@ -124,22 +112,20 @@ public:
   /// "gvn,slice,splice" — parseable back via parse().
   std::string str() const;
 
-  /// Runs every pass in order. Per-pass wall time and change counters land in
-  /// \p S (when given) under "pass.<name>.seconds" / ".runs" / ".changed".
-  /// Returns structural-verifier diagnostics (empty on success); with
-  /// VerifyEach set, the first failing pass stops the pipeline.
+  /// Runs every pass in order under \p Opts' VerifyEach, PrintAfterAll and
+  /// Telemetry knobs (Opts.Passes is not consulted). Per-pass wall time and
+  /// change counters land in \p S (when given) under "pass.<name>.seconds" /
+  /// ".runs" / ".changed". Returns structural-verifier diagnostics (empty on
+  /// success); with VerifyEach set, the first failing pass stops the
+  /// pipeline.
   std::vector<std::string> run(PassContext &PC,
-                               const PipelineOptions &Opts = {},
+                               const PrepassOptions &Opts = {},
                                Stats *S = nullptr) const;
 
   /// Parses a comma-separated pass list against the registry. Returns
   /// nullopt and sets \p Error on an unknown pass name.
   static std::optional<PassPipeline> parse(std::string_view Spec,
                                            std::string *Error = nullptr);
-
-  /// The default pipeline implied by \p Opts' toggles (Opts.Passes is NOT
-  /// consulted — runPrepass resolves the override).
-  static PassPipeline fromOptions(const PrepassOptions &Opts);
 
 private:
   std::vector<std::unique_ptr<Pass>> Passes;

@@ -2,7 +2,6 @@
 
 #include "core/Verifier.h"
 
-#include "analysis/InvariantGen.h"
 #include "ast/AstPrinter.h"
 #include "cfg/Lower.h"
 #include "transform/Transforms.h"
@@ -51,11 +50,18 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
 
   Out.NumProcsSolved = Out.NumProcs;
   Out.NumLabelsSolved = Out.NumLabels;
-  if (Opts.UsePrepass) {
-    // +Inv rides the pipeline as its last pass (unless an explicit
-    // --passes list took over the ordering).
+  // +Inv rides the pipeline as its last pass; with the prepass off, `inv`
+  // is the whole pipeline.
+  std::string Passes;
+  if (Opts.UsePrepass)
+    Passes = Opts.Prepass.Passes.empty()
+                 ? std::string(DefaultPrepassPasses)
+                 : Opts.Prepass.Passes;
+  if (Opts.UseInvariants)
+    Passes += Passes.empty() ? "inv" : ",inv";
+  if (!Passes.empty()) {
     PrepassOptions PO = Opts.Prepass;
-    PO.Invariants = PO.Invariants || Opts.UseInvariants;
+    PO.Passes = std::move(Passes);
     if (!PO.Telemetry)
       PO.Telemetry = Opts.Telemetry;
     Out.Prepass = runPrepass(Ctx, Cfg, EntryProc, Instance.ErrVar, PO,
@@ -71,9 +77,6 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
       Out.Result.Outcome = Verdict::Unknown;
       return Out;
     }
-  } else if (Opts.UseInvariants) {
-    InvariantReport Report = injectInvariants(Ctx, Cfg, EntryProc);
-    Out.InvariantConjuncts = Report.Conjuncts;
   }
 
   EngineOptions EO = Opts.Engine;

@@ -11,7 +11,8 @@
 /// pipeline:
 ///
 ///   unroll(R) → unfold(R) → error-bit instrumentation → CFG lowering
-///   → [interval-invariant injection]  → eager / SI / DI engine.
+///   → prepass pipeline [→ interval-invariant injection]
+///   → eager / SI / DI engine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,20 +30,21 @@ namespace rmt {
 struct VerifierOptions {
   /// Loop-iteration / recursion-depth bound R.
   unsigned Bound = 2;
-  /// Run the interval-invariant prepass ("+Inv" of Section 4).
+  /// Run the interval-invariant prepass ("+Inv" of Section 4): the `inv`
+  /// pass is appended to whatever pipeline runs, and is the whole pipeline
+  /// when UsePrepass is off. (A Prepass.Passes list that names `inv` itself
+  /// runs it again.)
   bool UseInvariants = false;
-  /// Run the static-analysis prepass pipeline (constant folding, branch
-  /// pruning, GVN/copy propagation, assume-redundancy elimination, query
-  /// slicing, skip splicing, dead-procedure elimination) on the lowered
-  /// program before the engine. On by default; --no-prepass in the CLI. With
-  /// UseInvariants, invariant injection runs as the pipeline's last pass. A
-  /// pipeline failure (--verify-each violation or a bad --passes spec) makes
-  /// the run return Verdict::Unknown with diagnostics in
-  /// Prepass.PipelineErrors rather than solve a possibly-miscompiled
-  /// program.
+  /// Run the static-analysis prepass pipeline (Prepass.Passes, by default
+  /// GVN/copy propagation, query slicing, skip splicing and dead-procedure
+  /// elimination) on the lowered program before the engine. On by default;
+  /// --no-prepass in the CLI. A pipeline failure (--verify-each violation or
+  /// a bad --passes spec) makes the run return Verdict::Unknown with
+  /// diagnostics in Prepass.PipelineErrors rather than solve a
+  /// possibly-miscompiled program.
   bool UsePrepass = true;
-  /// Fine-grained prepass toggles, explicit pass list, and pipeline knobs
-  /// (only consulted when UsePrepass).
+  /// Explicit pass list and pipeline knobs. The pass list is only consulted
+  /// when UsePrepass; the knobs also apply to the +Inv-only pipeline.
   PrepassOptions Prepass;
   /// Engine configuration (strategy, timeout, eager mode, limits).
   EngineOptions Engine;

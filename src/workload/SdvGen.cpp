@@ -138,8 +138,7 @@ private:
 
       // Opcode validation at entry, re-checked after the utility calls — the
       // inlined-macro pattern compiled drivers are full of. The calls never
-      // touch the opcode, so the re-check is entailed on every path and
-      // assume-redundancy elimination drops it.
+      // touch the opcode, so the re-check is entailed on every path.
       const Expr *OpValid = Ctx.tBinary(BinOp::Ge, OpRef, Ctx.tInt(0));
       Handler.Body.push_back(Ctx.assume(OpValid));
       for (unsigned C = 0; C < P.CallsPerHandler; ++C) {

@@ -369,8 +369,8 @@ TEST(InjectInvariants, PinnedCountsOnSdvDrivers) {
     unsigned Conjuncts;
     size_t LabelsAfter;
   };
-  for (Pin Want : {Pin{0, false, 106, 206}, Pin{1, true, 79, 223},
-                   Pin{3, false, 130, 282}, Pin{3, true, 54, 256}}) {
+  for (Pin Want : {Pin{0, false, 106, 212}, Pin{1, true, 79, 231},
+                   Pin{3, false, 130, 290}, Pin{3, true, 54, 264}}) {
     SdvParams SP;
     SP.Seed = 1000 + Want.K;
     SP.NumHandlers = 3 + Want.K % 2;
@@ -384,7 +384,7 @@ TEST(InjectInvariants, PinnedCountsOnSdvDrivers) {
     CfgProgram Cfg = lowerToCfg(Ctx, B.Prog);
     ProcId Root = Cfg.findProc(B.Entry);
     PrepassOptions Opts;
-    Opts.Invariants = true;
+    Opts.Passes = "gvn,slice,splice,deadproc,inv";
     PrepassReport R = runPrepass(Ctx, Cfg, Root, B.ErrVar, Opts);
     ASSERT_TRUE(R.ok());
     EXPECT_EQ(R.InvariantConjuncts, Want.Conjuncts)

@@ -351,12 +351,12 @@ TEST(PrepassDifferentialPipelines, PermutationsAgreeUnderVerifyEach) {
   // repetition) must agree with the no-prepass baseline; --verify-each keeps
   // each step honest about the label-form invariants along the way.
   const char *Specs[] = {
-      "gvn,assumeelim,splice,slice,deadproc",        // splice before slice
-      "slice,deadproc,gvn,assumeelim,splice",        // slice first
-      "assumeelim,gvn,assumeelim",                   // elim around gvn
-      "gvn,gvn,assumeelim,assumeelim,splice,splice", // idempotence
-      "deadproc,splice",                             // reductions only
-      "gvn",                                         // a single pass
+      "gvn,splice,slice,deadproc",         // splice before slice
+      "slice,deadproc,gvn,splice",         // slice first
+      "splice,gvn,slice,gvn",              // gvn around slice
+      "gvn,gvn,slice,slice,splice,splice", // idempotence
+      "deadproc,splice",                   // reductions only
+      "gvn",                               // a single pass
   };
   for (const char *Spec : Specs) {
     for (unsigned N : {1u, 4u, 8u})

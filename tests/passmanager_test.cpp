@@ -273,7 +273,7 @@ TEST(VerifyCfg, DetectsRootOutOfRange) {
 }
 
 //===----------------------------------------------------------------------===//
-// GVN and assume-redundancy elimination
+// GVN
 //===----------------------------------------------------------------------===//
 
 TEST(Gvn, PropagatesCopyChains) {
@@ -344,64 +344,14 @@ TEST(Gvn, FoldsLiteralsThroughCopies) {
   EXPECT_TRUE(SawFoldedStore);
 }
 
-TEST(Gvn, EliminatesEntailedAssume) {
-  AstContext Ctx;
-  auto P = parse(R"(
-    procedure main() {
-      var x: int;
-      havoc x;
-      assume x > 0;
-      assume x > 0;
-      assert x > 0;
-    }
-  )",
-                 Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  GvnReport R = runAssumeElim(Ctx, Cfg);
-  EXPECT_GE(R.RedundantAssumes, 1u);
-  EXPECT_TRUE(verifyCfg(Ctx, Cfg, Root, Err).empty());
-}
-
-TEST(Gvn, SharpensContradictedAssume) {
-  AstContext Ctx;
-  auto P = parse(R"(
-    procedure main() {
-      var x: int;
-      havoc x;
-      assume x > 0;
-      assume !(x > 0);
-      x := 1;
-    }
-  )",
-                 Ctx);
-  ProcId Root;
-  Symbol Err;
-  CfgProgram Cfg = lower(Ctx, *P, Root, Err);
-  GvnReport R = runAssumeElim(Ctx, Cfg);
-  EXPECT_GE(R.ContradictedAssumes, 1u);
-  // The sharpened label is `assume false` with its successors cut.
-  bool SawFalse = false;
-  for (const CfgLabel &L : Cfg.Labels)
-    if (L.Stmt.Kind == CfgStmtKind::Assume && L.Stmt.E &&
-        L.Stmt.E->kind() == ExprKind::BoolLit && !L.Stmt.E->boolValue()) {
-      EXPECT_TRUE(L.Targets.empty());
-      SawFalse = true;
-    }
-  EXPECT_TRUE(SawFalse);
-  EXPECT_TRUE(verifyCfg(Ctx, Cfg, Root, Err).empty());
-}
-
 //===----------------------------------------------------------------------===//
 // Registry and pipelines
 //===----------------------------------------------------------------------===//
 
 TEST(PassRegistry, ListsBuiltinsInDefaultPipelineOrder) {
   std::vector<std::string> Names = PassRegistry::instance().names();
-  std::vector<std::string> Builtins = {"gvn",      "assumeelim", "slice",
-                                       "splice",   "deadproc",   "lint",
-                                       "inv"};
+  std::vector<std::string> Builtins = {"gvn",  "slice", "splice", "deadproc",
+                                       "lint", "inv"};
   // Tests may append more; the builtin prefix is stable.
   ASSERT_GE(Names.size(), Builtins.size());
   for (size_t I = 0; I < Builtins.size(); ++I)
@@ -431,19 +381,6 @@ TEST(PassPipeline, ParsesSpecsAndRoundTrips) {
   EXPECT_TRUE(PassPipeline::parse("")->empty());
 }
 
-TEST(PassPipeline, FromOptionsFollowsToggles) {
-  PrepassOptions Opts;
-  EXPECT_EQ(PassPipeline::fromOptions(Opts).str(),
-            "gvn,assumeelim,slice,splice,deadproc");
-  Opts.Invariants = true;
-  EXPECT_EQ(PassPipeline::fromOptions(Opts).str(),
-            "gvn,assumeelim,slice,splice,deadproc,inv");
-  PrepassOptions Off;
-  Off.Gvn = Off.AssumeElim = Off.Slice = Off.SpliceSkips = Off.DeadProcElim =
-      false;
-  EXPECT_TRUE(PassPipeline::fromOptions(Off).empty());
-}
-
 TEST(PassPipeline, RecordsPerPassStats) {
   AstContext Ctx;
   auto P = parse(CallDemo, Ctx);
@@ -454,14 +391,14 @@ TEST(PassPipeline, RecordsPerPassStats) {
   PrepassOptions Opts;
   PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts, &S);
   EXPECT_TRUE(R.ok());
-  for (const char *Name :
-       {"gvn", "assumeelim", "slice", "splice", "deadproc"})
+  for (const char *Name : {"gvn", "slice", "splice", "deadproc"})
     EXPECT_EQ(S.get("pass." + std::string(Name) + ".runs"), 1)
         << Name;
   // The demo program has skip labels to splice, so at least one pass reports
   // a change.
   EXPECT_GE(S.get("pass.splice.changed"), 1);
   EXPECT_EQ(S.get("pass.inv.runs"), 0);
+  EXPECT_NE(R.str().find("contradicted assumes"), std::string::npos);
 }
 
 TEST(PassPipeline, LintAuditCountsResidualDeadStores) {
@@ -504,7 +441,7 @@ TEST(PassPipeline, LintAuditCountsResidualDeadStores) {
     Symbol Err;
     CfgProgram Cfg = lower(Ctx, *P, Root, Err);
     PrepassOptions Opts;
-    Opts.Passes = "gvn,assumeelim,slice,splice,deadproc,lint";
+    Opts.Passes = "gvn,slice,splice,deadproc,lint";
     Opts.VerifyEach = true;
     PrepassReport R = runPrepass(Ctx, Cfg, Root, Err, Opts);
     ASSERT_TRUE(R.ok()) << joined(R.PipelineErrors);

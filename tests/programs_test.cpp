@@ -5,7 +5,8 @@
 // and verifies each file with SI and DI on the paper's Gen_pVC (the oracle)
 // and with DI on the default (passified) pVCs, and checks the expectation —
 // the sample corpus doubles as an end-to-end regression suite. It also checks
-// the default prepass output of each file for blocked labels left wired.
+// the default prepass output of each file for blocked labels left wired, and
+// that trace spans account for nearly all of a verify's wall time.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 #include "cfg/Lower.h"
 #include "core/Verifier.h"
 #include "parser/Parser.h"
+#include "support/Trace.h"
 #include "transform/Transforms.h"
 
 #include <gtest/gtest.h>
@@ -183,3 +185,64 @@ INSTANTIATE_TEST_SUITE_P(
           C = '_';
       return Name;
     });
+
+TEST(SamplePrograms, SpansCoverVerifyAndEngineRun) {
+  // A run's trace should explain where its time went: the direct child spans
+  // of `verify` cover nearly all of it, and `engine.iteration` plus the root
+  // `vc.gen_pvc` cover nearly all of `engine.run`. Times are summed over the
+  // whole corpus, not checked per program, so a few scheduler hiccups on a
+  // slow (sanitizer, CI) machine cannot flake the ratio.
+  double Verify = 0, VerifyChildren = 0, EngineRun = 0, EngineChildren = 0;
+  for (const std::filesystem::path &File : sampleFiles()) {
+    std::string Source = readFile(File);
+    std::optional<Expectation> Expect = parseExpectation(Source);
+    ASSERT_TRUE(Expect) << File;
+    AstContext Ctx;
+    DiagEngine Diags;
+    auto P = parseAndCheck(Source, Ctx, Diags);
+    ASSERT_TRUE(P) << Diags.str();
+
+    Trace T(1 << 16);
+    T.setEnabled(true);
+    VerifierOptions Opts;
+    Opts.Bound = Expect->Bound;
+    Opts.Engine.TimeoutSeconds = 120;
+    Opts.Telemetry = &T;
+    auto R = verifyProgram(Ctx, *P, Ctx.sym("main"), Opts);
+    EXPECT_EQ(R.Result.Outcome, Expect->Outcome) << File;
+    ASSERT_EQ(T.numDropped(), 0u) << File;
+    ASSERT_EQ(T.openSpans(), 0u) << File;
+
+    // Replay the begin/end pairs to get each span's duration and parent.
+    std::vector<std::pair<std::string, double>> Open;
+    for (size_t I = 0; I < T.numEvents(); ++I) {
+      const TraceEvent &E = T.event(I);
+      if (E.Ph == TraceEvent::Phase::Begin) {
+        Open.emplace_back(E.Name, E.Micros);
+        continue;
+      }
+      if (E.Ph != TraceEvent::Phase::End)
+        continue;
+      ASSERT_FALSE(Open.empty()) << File;
+      auto [Name, Start] = Open.back();
+      Open.pop_back();
+      double Seconds = (E.Micros - Start) * 1e-6;
+      std::string Parent = Open.empty() ? "" : Open.back().first;
+      if (Name == "verify")
+        Verify += Seconds;
+      else if (Parent == "verify")
+        VerifyChildren += Seconds;
+      if (Name == "engine.run")
+        EngineRun += Seconds;
+      else if (Parent == "engine.run" &&
+               (Name == "engine.iteration" || Name == "vc.gen_pvc"))
+        EngineChildren += Seconds;
+    }
+  }
+  ASSERT_GT(Verify, 0.0);
+  ASSERT_GT(EngineRun, 0.0);
+  EXPECT_GE(VerifyChildren / Verify, 0.95)
+      << VerifyChildren << " s of " << Verify << " s";
+  EXPECT_GE(EngineChildren / EngineRun, 0.95)
+      << EngineChildren << " s of " << EngineRun << " s";
+}

@@ -6,6 +6,7 @@
 #include "core/Verifier.h"
 #include "parser/Parser.h"
 #include "transform/Transforms.h"
+#include "workload/SdvGen.h"
 
 #include <gtest/gtest.h>
 
@@ -57,6 +58,54 @@ TEST(VerifyProgram, UnknownEntryFailsClosed) {
   Opts.Bound = 8;
   EXPECT_EQ(verifyProgram(Ctx, *P, Ctx.sym("main"), Opts).Result.Outcome,
             Verdict::Bug);
+}
+
+//===----------------------------------------------------------------------===//
+// +Inv rides whatever pipeline runs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Verifies, with +Inv, a safe SDV-like driver that invariants apply to.
+VerifierRunResult verifyInvDriver(const VerifierOptions &Base) {
+  SdvParams SP;
+  SP.Seed = 1000;
+  SP.NumHandlers = 3;
+  SP.NumUtils = 3;
+  SP.UtilDepth = 3;
+  SP.CallsPerHandler = 2;
+  AstContext Ctx;
+  Program P = makeSdvProgram(Ctx, SP);
+  VerifierOptions Opts = Base;
+  Opts.Bound = 1;
+  Opts.UseInvariants = true;
+  Opts.Engine.TimeoutSeconds = 60;
+  return verifyProgram(Ctx, P, Ctx.sym("main"), Opts);
+}
+
+} // namespace
+
+TEST(VerifyProgram, InvariantsFollowAnExplicitPassList) {
+  VerifierOptions Opts;
+  Opts.Prepass.Passes = "slice,splice,deadproc";
+  VerifierRunResult R = verifyInvDriver(Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
+  EXPECT_GT(R.InvariantConjuncts, 0u);
+  EXPECT_EQ(R.PrepassStats.get("pass.inv.runs"), 1);
+  EXPECT_EQ(R.PrepassStats.get("pass.gvn.runs"), 0);
+}
+
+TEST(VerifyProgram, InvariantsAloneWithThePrepassOff) {
+  VerifierRunResult Default = verifyInvDriver(VerifierOptions());
+  VerifierOptions Off;
+  Off.UsePrepass = false;
+  VerifierRunResult R = verifyInvDriver(Off);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
+  EXPECT_GT(Default.InvariantConjuncts, 0u);
+  EXPECT_EQ(R.InvariantConjuncts, Default.InvariantConjuncts);
+  // `inv` is the whole pipeline: it runs, and nothing else does.
+  EXPECT_EQ(R.PrepassStats.get("pass.inv.runs"), 1);
+  EXPECT_EQ(R.PrepassStats.get("pass.gvn.runs"), 0);
 }
 
 //===----------------------------------------------------------------------===//
