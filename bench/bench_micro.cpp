@@ -231,6 +231,33 @@ void BM_Z3FreshSolver(benchmark::State &State) {
 }
 BENCHMARK(BM_Z3FreshSolver)->Unit(benchmark::kMillisecond);
 
+/// One incremental Sat check on a fixed chain-shaped formula, then one model
+/// read: the shape of the engine's over-approximate checks, which read only
+/// a Boolean control or two from a model that Z3 builds over every constant.
+/// Arg is the number of links; link i is c_i ==> x_{i+1} = x_i + 1, and the
+/// check assumes the last control. Z3's default model.compact=true compacted
+/// that whole model on every Sat check, about half of Z3_solver_get_model's
+/// time in the engine.
+void BM_Z3ModelAfterCheck(benchmark::State &State) {
+  AstContext Ctx;
+  TermArena Arena;
+  auto S = createZ3Solver(Arena);
+  TermRef X = Arena.freshConst(Ctx.intType(), "x");
+  TermRef C = X;
+  for (int64_t I = 0; I < State.range(0); ++I) {
+    C = Arena.freshConst(Ctx.boolType(), "c");
+    TermRef Next = Arena.freshConst(Ctx.intType(), "x");
+    S->assertTerm(Arena.mkImplies(
+        C, Arena.mkEq(Next, Arena.mkAdd(X, Arena.intLit(1)))));
+    X = Next;
+  }
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(S->check({C}, 0));
+    benchmark::DoNotOptimize(S->modelBool(C));
+  }
+}
+BENCHMARK(BM_Z3ModelAfterCheck)->Arg(64)->Arg(512);
+
 } // namespace
 
 BENCHMARK_MAIN();

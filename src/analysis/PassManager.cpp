@@ -197,9 +197,8 @@ std::string PassPipeline::str() const {
   return Out;
 }
 
-std::optional<PassPipeline> PassPipeline::parse(std::string_view Spec,
-                                                std::string *Error) {
-  PassPipeline PL;
+std::vector<std::string_view> PassPipeline::names(std::string_view Spec) {
+  std::vector<std::string_view> Out;
   size_t Pos = 0;
   while (Pos <= Spec.size()) {
     size_t Comma = Spec.find(',', Pos);
@@ -211,8 +210,16 @@ std::optional<PassPipeline> PassPipeline::parse(std::string_view Spec,
       Name.remove_prefix(1);
     while (!Name.empty() && Name.back() == ' ')
       Name.remove_suffix(1);
-    if (Name.empty())
-      continue;
+    if (!Name.empty())
+      Out.push_back(Name);
+  }
+  return Out;
+}
+
+std::optional<PassPipeline> PassPipeline::parse(std::string_view Spec,
+                                                std::string *Error) {
+  PassPipeline PL;
+  for (std::string_view Name : names(Spec)) {
     std::unique_ptr<Pass> P = PassRegistry::instance().create(Name);
     if (!P) {
       if (Error) {

@@ -127,6 +127,10 @@ public:
   static std::optional<PassPipeline> parse(std::string_view Spec,
                                            std::string *Error = nullptr);
 
+  /// The entries of a comma-separated pass list, in order, trimmed of
+  /// spaces, empty entries dropped: the names parse() looks up.
+  static std::vector<std::string_view> names(std::string_view Spec);
+
 private:
   std::vector<std::unique_ptr<Pass>> Passes;
 };

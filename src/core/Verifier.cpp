@@ -2,6 +2,7 @@
 
 #include "core/Verifier.h"
 
+#include "analysis/PassManager.h"
 #include "ast/AstPrinter.h"
 #include "cfg/Lower.h"
 #include "transform/Transforms.h"
@@ -50,14 +51,16 @@ VerifierRunResult rmt::verifyProgram(AstContext &Ctx, const Program &Prog,
 
   Out.NumProcsSolved = Out.NumProcs;
   Out.NumLabelsSolved = Out.NumLabels;
-  // +Inv rides the pipeline as its last pass; with the prepass off, `inv`
-  // is the whole pipeline.
+  // +Inv rides the pipeline as its last pass, unless the list already names
+  // `inv`; with the prepass off, `inv` is the whole pipeline.
   std::string Passes;
   if (Opts.UsePrepass)
     Passes = Opts.Prepass.Passes.empty()
                  ? std::string(DefaultPrepassPasses)
                  : Opts.Prepass.Passes;
-  if (Opts.UseInvariants)
+  bool ListNamesInv = std::ranges::count(PassPipeline::names(Passes),
+                                         std::string_view("inv")) > 0;
+  if (Opts.UseInvariants && !ListNamesInv)
     Passes += Passes.empty() ? "inv" : ",inv";
   if (!Passes.empty()) {
     PrepassOptions PO = Opts.Prepass;

@@ -32,8 +32,8 @@ struct VerifierOptions {
   unsigned Bound = 2;
   /// Run the interval-invariant prepass ("+Inv" of Section 4): the `inv`
   /// pass is appended to whatever pipeline runs, and is the whole pipeline
-  /// when UsePrepass is off. (A Prepass.Passes list that names `inv` itself
-  /// runs it again.)
+  /// when UsePrepass is off. A Prepass.Passes list that names `inv` itself
+  /// runs it once, where the list puts it.
   bool UseInvariants = false;
   /// Run the static-analysis prepass pipeline (Prepass.Passes, by default
   /// GVN/copy propagation, query slicing, skip splicing and dead-procedure

@@ -9,6 +9,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,10 +39,28 @@ void z3ErrorHandler(Z3_context Ctx, Z3_error_code Code) {
                Z3_get_error_msg(Ctx, Code));
 }
 
+/// Stops Z3 compacting every model it builds. By default Z3 4.8.12's
+/// Z3_solver_get_model compresses the model of every constant in the VC
+/// (model.compact=true): about half of get_model's time, paid on every Sat
+/// check, while the engine reads only a few Boolean values from each model.
+/// Compaction only changes how the model stores function graphs; constant
+/// values and the solver's state are the same without it. The setting has to
+/// be global: Z3 4.8.12 rejects model.compact as a context config
+/// (Z3_set_param_value: "unknown parameter"), through Z3_update_param_value
+/// alike, and as a solver param (Z3_solver_set_params fails validation, after
+/// about 1.7 ms spent on it). Z3 reads the global value whenever it builds a
+/// model, so setting it once per process, before the first solver, covers
+/// every solver.
+void disableModelCompaction() {
+  static std::once_flag Once;
+  std::call_once(Once, [] { Z3_global_param_set("model.compact", "false"); });
+}
+
 class Z3SolverImpl final : public Solver {
 public:
   Z3SolverImpl(const TermArena &Arena, Trace *Telemetry)
       : Arena(Arena), Telemetry(Telemetry) {
+    disableModelCompaction();
     Z3_config Config = Z3_mk_config();
     Z3_set_param_value(Config, "model", "true");
     Ctx = Z3_mk_context(Config);
@@ -89,6 +108,7 @@ public:
         Ctx, Sol, static_cast<unsigned>(Lits.size()), Lits.data());
     SolveResult Out = SolveResult::Unknown;
     if (R == Z3_L_TRUE) {
+      TraceSpan ModelSpan(Telemetry, "z3.model");
       Model = Z3_solver_get_model(Ctx, Sol);
       Z3_model_inc_ref(Ctx, Model);
       Out = SolveResult::Sat;

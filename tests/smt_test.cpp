@@ -248,6 +248,56 @@ TEST(Z3, EuclideanDivModSemantics) {
   EXPECT_EQ(S->check(), SolveResult::Sat);
 }
 
+TEST(Z3, ModelCompactionIsOff) {
+  // The engine reads a few values from each model; compacting the whole
+  // model on every Sat check was about half of Z3_solver_get_model's time.
+  TermArena A;
+  auto S = createZ3Solver(A);
+  Z3_string Value = nullptr;
+  ASSERT_TRUE(Z3_global_param_get("model.compact", &Value));
+  EXPECT_STREQ(Value, "false");
+}
+
+TEST(Z3, ModelValuesWithoutCompaction) {
+  // Without compaction a model keeps Z3's helper function graphs as built;
+  // values read through it must be the forced ones for every sort the
+  // engine reads.
+  AstContext Ctx;
+  TermArena A;
+  auto S = createZ3Solver(A);
+  const Type *Bv8 = Ctx.bvType(8);
+  const Type *ArrTy = Ctx.arrayType(Ctx.intType(), Ctx.intType());
+  TermRef P = A.freshConst(Ctx.boolType(), "p");
+  TermRef Q = A.freshConst(Ctx.boolType(), "q");
+  TermRef X = A.freshConst(Ctx.intType(), "x");
+  TermRef Y = A.freshConst(Ctx.intType(), "y");
+  TermRef W = A.freshConst(Bv8, "w");
+  TermRef Arr = A.freshConst(ArrTy, "a");
+  TermRef I = A.freshConst(Ctx.intType(), "i");
+  TermRef Sel = A.mkSelect(Arr, I);
+  // Integer mod by zero is Z3's uninterpreted mod0 helper; pinned to 0 here,
+  // the uncompacted model holds its graph (7 0 -> 0, else -> 0) rather than
+  // the constant 0, and reading x mod y must evaluate through it.
+  TermRef Mod = A.mkMod(X, Y);
+  S->assertTerm(P);
+  S->assertTerm(A.mkNot(Q));
+  S->assertTerm(A.mkEq(X, A.intLit(7)));
+  S->assertTerm(A.mkEq(Y, A.intLit(0)));
+  S->assertTerm(A.mkEq(Mod, A.intLit(0)));
+  S->assertTerm(A.mkEq(W, A.bvLit(200, Bv8)));
+  S->assertTerm(A.mkEq(I, A.intLit(3)));
+  S->assertTerm(A.mkEq(Sel, A.intLit(-42)));
+  ASSERT_EQ(S->check(), SolveResult::Sat);
+  EXPECT_TRUE(S->modelBool(P));
+  EXPECT_FALSE(S->modelBool(Q));
+  EXPECT_EQ(S->modelInt(X), 7);
+  EXPECT_EQ(S->modelInt(Y), 0);
+  EXPECT_EQ(S->modelInt(Mod), 0);
+  EXPECT_EQ(S->modelInt(W), 200);
+  EXPECT_EQ(S->modelInt(I), 3);
+  EXPECT_EQ(S->modelInt(Sel), -42);
+}
+
 TEST(Z3, DeepTermTranslationIsIterative) {
   // A deep left-leaning sum; recursive translation would overflow the
   // stack around 1e5 nodes.

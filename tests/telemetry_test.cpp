@@ -586,6 +586,64 @@ TEST(TraceEndToEnd, EngineTeardownSpanNestsUnderVerifyAfterRun) {
   EXPECT_EQ(T.spanAggregates().count("engine.teardown"), 1u);
 }
 
+TEST(TraceEndToEnd, ModelSpanNestsUnderSatCheck) {
+  // Reading the model of a Sat check gets its own z3.model span, a direct
+  // child of that check's z3.check_sat; an Unsat check builds no model.
+  AstContext Ctx;
+  DiagEngine Diags;
+  std::optional<Program> Prog = parseAndCheck(PipelineSource, Ctx, Diags);
+  ASSERT_TRUE(Prog) << Diags.str();
+
+  Trace T;
+  T.setEnabled(true);
+  VerifierOptions Opts;
+  Opts.Bound = 1;
+  Opts.Engine.TimeoutSeconds = 60;
+  Opts.Telemetry = &T;
+  VerifierRunResult R = verifyProgram(Ctx, *Prog, Ctx.sym("main"), Opts);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
+
+  std::vector<std::string> Stack;
+  int ModelsInCheck = 0, SatChecks = 0, UnsatChecks = 0;
+  for (size_t I = 0; I < T.numEvents(); ++I) {
+    const TraceEvent &E = T.event(I);
+    if (E.Ph == TraceEvent::Phase::Begin) {
+      if (E.Name == "z3.check_sat")
+        ModelsInCheck = 0;
+      if (E.Name == "z3.model") {
+        ++ModelsInCheck;
+        ASSERT_FALSE(Stack.empty());
+        EXPECT_EQ(Stack.back(), "z3.check_sat");
+      }
+      Stack.push_back(E.Name);
+    } else if (E.Ph == TraceEvent::Phase::End) {
+      ASSERT_FALSE(Stack.empty());
+      if (Stack.back() == "z3.check_sat") {
+        auto Result = std::find_if(
+            E.Args.begin(), E.Args.end(),
+            [](const TraceArg &A) { return A.Key == "result"; });
+        ASSERT_NE(Result, E.Args.end());
+        if (Result->Str == "sat") {
+          ++SatChecks;
+          EXPECT_EQ(ModelsInCheck, 1);
+        } else {
+          EXPECT_EQ(Result->Str, "unsat");
+          ++UnsatChecks;
+          EXPECT_EQ(ModelsInCheck, 0);
+        }
+      }
+      Stack.pop_back();
+    }
+  }
+  EXPECT_TRUE(Stack.empty());
+  EXPECT_GE(SatChecks, 1);
+  EXPECT_GE(UnsatChecks, 1);
+  EXPECT_EQ(SatChecks + UnsatChecks,
+            static_cast<int>(R.Result.NumSolverChecks));
+  EXPECT_EQ(T.spanAggregates().at("z3.model").Count,
+            static_cast<uint64_t>(SatChecks));
+}
+
 TEST(TraceEndToEnd, GenPvcSpanPerInlinedNode) {
   // Every Gen_pVC the engine runs gets a vc.gen_pvc span inside engine.run,
   // named by its procedure and closed with the count of clauses it asserted.

@@ -95,6 +95,21 @@ TEST(VerifyProgram, InvariantsFollowAnExplicitPassList) {
   EXPECT_EQ(R.PrepassStats.get("pass.gvn.runs"), 0);
 }
 
+TEST(VerifyProgram, InvariantsNotDuplicatedWhenListNamesInv) {
+  // A list that already names `inv` runs it once, where the list puts it;
+  // +Inv does not append a second run with the same conjuncts again.
+  VerifierOptions Appended;
+  Appended.Prepass.Passes = "slice";
+  VerifierRunResult Once = verifyInvDriver(Appended);
+  VerifierOptions Named;
+  Named.Prepass.Passes = "slice, inv ";
+  VerifierRunResult R = verifyInvDriver(Named);
+  EXPECT_EQ(R.Result.Outcome, Verdict::Safe);
+  EXPECT_EQ(R.PrepassStats.get("pass.inv.runs"), 1);
+  EXPECT_GT(Once.InvariantConjuncts, 0u);
+  EXPECT_EQ(R.InvariantConjuncts, Once.InvariantConjuncts);
+}
+
 TEST(VerifyProgram, InvariantsAloneWithThePrepassOff) {
   VerifierRunResult Default = verifyInvDriver(VerifierOptions());
   VerifierOptions Off;
